@@ -5,7 +5,7 @@
 // resident bytes and the compression ratio. The acceptance target is a
 // >= 2x reduction of the trie storage on both datasets while every
 // estimate stays bit-identical across tiers (asserted by tests/
-// index_test.cc and tests/shard_test.cc; this bench records the sizes).
+// index_test.cc and tests/mutable_test.cc; this bench records the sizes).
 //
 // Part 2 — serving: on the DBpedia-like graph's hardest interactive
 // shape (the root out-property expansion of Figure 4, thousands of
@@ -174,12 +174,14 @@ int main(int argc, char** argv) {
   double topk_seconds = 0;
   uint64_t pruned_walks = 0;
   {
-    kgoa::ServingCore core(*dbpedia_block, core_options);
+    kgoa::ServingCore core(kgoa::GraphSnapshot::Unowned(*dbpedia_block),
+                           core_options);
     full_seconds = kgoa::TimeToFullConvergence(core, query, walk_order,
                                                ci_target, give_up);
   }
   {
-    kgoa::ServingCore core(*dbpedia_block, core_options);
+    kgoa::ServingCore core(kgoa::GraphSnapshot::Unowned(*dbpedia_block),
+                           core_options);
     topk_seconds = kgoa::TimeToDisplayedChart(
         core, query, walk_order, ci_target, give_up, &pruned_walks);
   }

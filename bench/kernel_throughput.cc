@@ -30,12 +30,12 @@
 #include <vector>
 
 #include "bench/bench_common.h"
+#include "src/core/audit.h"
 #include "src/eval/registry.h"
 #include "src/explore/session.h"
 #include "src/index/block_codec.h"
 #include "src/index/flat_table.h"
 #include "src/index/kernels.h"
-#include "src/ola/parallel.h"
 #include "src/ola/walk_plan.h"
 #include "src/util/flags.h"
 #include "src/util/rng.h"
@@ -99,20 +99,18 @@ double SeeksPerSec(const std::vector<uint32_t>& block_vals,
   return static_cast<double>(probes.size()) / seconds;
 }
 
-// Fixed-budget end-to-end run; returns elapsed seconds. Workers/threads
-// are held at 1 so the measurement is a pure single-lane hot-path time.
+// Fixed-budget end-to-end run of one Audit Join engine on this thread;
+// returns elapsed seconds — a pure single-lane hot-path time.
 double EndToEndSeconds(const IndexSet& indexes, const ChainQuery& query,
                        uint64_t budget, uint32_t batch_walks) {
-  ParallelOlaOptions options;
-  options.workers = 1;
-  options.threads = 1;
+  AuditJoin::Options options;
   options.tipping_threshold = 2.0;
   options.batch_walks = batch_walks;
   Stopwatch clock;
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes, query, options).RunWalkBudget(budget);
+  AuditJoin audit(indexes, query, options);
+  audit.RunWalks(budget);
   const double seconds = clock.ElapsedSeconds();
-  if (run.estimates.walks() != budget) std::printf("(budget mismatch)\n");
+  if (audit.estimates().walks() != budget) std::printf("(budget mismatch)\n");
   return seconds;
 }
 

@@ -1,7 +1,7 @@
 // Parallel online aggregation: live convergence traces and deterministic
 // scaling (src/ola/parallel.h).
 //
-// Part 1 runs the worker-pool executor in deadline mode on the root
+// Part 1 runs one deadline-mode job on a ServingCore on the root
 // out-property expansion and prints one JSON snapshot line per sampling
 // tick *while the workers are still walking* — elapsed time, walk rate,
 // rejection rate, the merged engine counters (tipped / aborts / CTJ cache
@@ -11,9 +11,10 @@
 //
 // Part 2 runs the deterministic walk-budget mode with the same budget on
 // 1, 2 and 4 threads and checks the merged estimates are bit-identical —
-// the executor's core guarantee (thread count affects wall-clock only).
+// the serving core's guarantee (thread count affects wall-clock only).
 #include <cmath>
 #include <cstdio>
+#include <utility>
 
 #include "bench/bench_common.h"
 #include "src/eval/metrics.h"
@@ -27,22 +28,29 @@
 namespace kgoa {
 namespace {
 
+ParallelOlaResult Serve(const bench::Dataset& ds, const ChainQuery& query,
+                        ChartJobOptions job, int threads) {
+  ServingCore::Options options;
+  options.threads = threads;
+  ServingCore core(GraphSnapshot::Unowned(*ds.indexes), options);
+  return core.Submit(query, std::move(job)).Await();
+}
+
 void LiveTrace(const bench::Dataset& ds, const ChainQuery& query,
                const GroupedResult& exact, double seconds, int threads) {
   std::printf("\n--- deadline mode, %d threads, %.2fs, live snapshots ---\n",
               threads, seconds);
-  ParallelOlaOptions options;
-  options.threads = threads;
-  options.walk_order = DefaultAuditOrder(query);
-  options.snapshot_period = seconds / 8;
-  const ParallelOlaExecutor executor(*ds.indexes, query, options);
-
+  ChartJobOptions job;
+  job.deadline_seconds = seconds;
+  job.workers = threads;
+  job.walk_order = DefaultAuditOrder(query);
+  job.snapshot_period = seconds / 8;
   int snapshots = 0;
-  const ParallelOlaResult run = executor.RunForDuration(
-      seconds, [&](const OlaSnapshot& snapshot) {
-        ++snapshots;
-        std::printf("trace %s\n", SnapshotJson(snapshot).c_str());
-      });
+  job.on_snapshot = [&](const OlaSnapshot& snapshot) {
+    ++snapshots;
+    std::printf("trace %s\n", SnapshotJson(snapshot).c_str());
+  };
+  const ParallelOlaResult run = Serve(ds, query, std::move(job), threads);
 
   // Error of the merged final estimate against the exact result.
   double mae = 0;
@@ -82,16 +90,15 @@ void DeterministicScaling(const bench::Dataset& ds, const ChainQuery& query,
                           uint64_t budget) {
   std::printf("\n--- walk-budget mode, %llu walks, 4 logical workers ---\n",
               static_cast<unsigned long long>(budget));
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.walk_order = DefaultAuditOrder(query);
+  ChartJobOptions job;
+  job.walk_budget = budget;
+  job.workers = 4;
+  job.walk_order = DefaultAuditOrder(query);
 
   GroupedEstimates reference;
   bool all_identical = true;
   for (int threads : {1, 2, 4}) {
-    options.threads = threads;
-    const ParallelOlaExecutor executor(*ds.indexes, query, options);
-    const ParallelOlaResult run = executor.RunWalkBudget(budget);
+    const ParallelOlaResult run = Serve(ds, query, job, threads);
     std::printf(
         "threads=%d: %.3fs, %.0f walks/s, %llu tipped, %llu cache hits\n",
         threads, run.elapsed_seconds,

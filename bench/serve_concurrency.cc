@@ -126,7 +126,8 @@ int main(int argc, char** argv) {
 
   kgoa::ServingCore::Options core_options;
   core_options.threads = threads;
-  kgoa::ServingCore core(*ds.indexes, core_options);
+  kgoa::ServingCore core(kgoa::GraphSnapshot::Unowned(*ds.indexes),
+                         core_options);
 
   std::printf("\n--- time to %.0f%% relative CI, %d pool threads ---\n",
               100.0 * ci_target, threads);

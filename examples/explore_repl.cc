@@ -3,15 +3,11 @@
 // interactive budget, driven by keyboard commands.
 //
 //   ./explore_repl [graph.nt|graph.bin] [--scale=0.1] [--budget_ms=150]
-//                  [--threads=1] [--shards=0]
+//                  [--threads=1]
 //
-// With --threads=N > 1, charts are served by the parallel worker-pool
-// executor (deadline mode) instead of a single Audit Join engine.
-//
-// With --shards=N > 0, the graph is partitioned in-process across N
-// serving cores (--threads pool threads each) and every chart — sync or
-// submitted — is scattered across the shards and gathered by the
-// coordinator (src/shard/coordinator.h).
+// --threads=N sizes the shared serving pool. With N > 1, charts are
+// served as deadline-mode jobs split across N logical workers on that
+// pool instead of by a single Audit Join engine on the REPL thread.
 //
 // Commands (read from stdin; EOF exits, so the binary also terminates
 // cleanly when run non-interactively):
@@ -38,6 +34,7 @@
 //
 // Submitted jobs are tracked by the session: `pick` and `back` supersede
 // them and auto-cancel the unfinished ones.
+#include <algorithm>
 #include <cstdio>
 #include <fstream>
 #include <iostream>
@@ -71,7 +68,6 @@ struct Repl {
   kgoa::ExplorationSession session;
   double budget;
   int threads;
-  int shards;  // > 0: scatter every chart across the shard cores
   std::optional<kgoa::ExpansionKind> last_expansion;
   kgoa::Chart last_chart;
 
@@ -83,21 +79,12 @@ struct Repl {
     kgoa::BarKind kind;
   };
   std::vector<SubmittedJob> submitted;
-  // Scatter-gather jobs (--shards mode); tracked per shard handle by the
-  // session so navigation fans the auto-cancel out.
-  struct SubmittedShardJob {
-    kgoa::ShardChartHandle handle;
-    kgoa::BarKind kind;
-  };
-  std::vector<SubmittedShardJob> submitted_sharded;
 
-  Repl(kgoa::Explorer* e, double budget_seconds, int serving_threads,
-       int serving_shards)
+  Repl(kgoa::Explorer* e, double budget_seconds, int serving_threads)
       : explorer(e),
         session(e->NewSession()),
         budget(budget_seconds),
-        threads(serving_threads),
-        shards(serving_shards) {}
+        threads(serving_threads) {}
 
   void ShowChart(kgoa::ExpansionKind expansion) {
     if (!session.IsLegal(expansion)) {
@@ -107,14 +94,9 @@ struct Repl {
       return;
     }
     const kgoa::ChainQuery query = session.BuildQuery(expansion);
-    if (shards > 0) {
-      kgoa::ShardChartOptions options;
-      options.workers_per_shard = threads > 1 ? threads : 1;
-      last_chart = explorer->ApproximateChartSharded(
-          query, budget, ResultBarKind(expansion), options);
-    } else if (threads > 1) {
-      kgoa::ParallelOlaOptions options;
-      options.threads = threads;
+    if (threads > 1) {
+      kgoa::ChartJobOptions options;
+      options.workers = threads;
       last_chart = explorer->ApproximateChartParallel(
           query, budget, ResultBarKind(expansion), options);
     } else {
@@ -159,25 +141,9 @@ struct Repl {
                   kgoa::BarKindName(session.current_kind()));
       return;
     }
-    if (shards > 0) {
-      kgoa::ShardChartOptions job;
-      job.deadline_seconds = seconds;
-      job.workers_per_shard = threads > 1 ? threads : 1;
-      kgoa::ShardChartHandle handle =
-          explorer->SubmitChartSharded(session.BuildQuery(expansion), job);
-      session.TrackJobs(handle.shard_handles());
-      submitted_sharded.push_back({handle, ResultBarKind(expansion)});
-      std::printf("  job %llu submitted across %d shards (%s, %.0f ms "
-                  "deadline) — 'jobs' to watch, 'cancel %llu' to stop\n",
-                  static_cast<unsigned long long>(handle.id()),
-                  handle.num_shards(), kgoa::ExpansionName(expansion),
-                  seconds * 1000.0,
-                  static_cast<unsigned long long>(handle.id()));
-      return;
-    }
     kgoa::ChartJobOptions job;
     job.deadline_seconds = seconds;
-    job.workers = threads > 1 ? threads : 1;
+    job.workers = threads;
     kgoa::ChartHandle handle =
         explorer->SubmitChart(session.BuildQuery(expansion), job);
     session.TrackJob(handle);
@@ -190,28 +156,9 @@ struct Repl {
   }
 
   void ListJobs() {
-    if (submitted.empty() && submitted_sharded.empty()) {
+    if (submitted.empty()) {
       std::printf("  (no jobs submitted)\n");
       return;
-    }
-    for (const SubmittedShardJob& job : submitted_sharded) {
-      const kgoa::ParallelOlaResult snapshot = job.handle.Snapshot();
-      const kgoa::Chart chart =
-          kgoa::Explorer::ChartFromEstimates(snapshot.estimates, job.kind);
-      std::printf("  job %llu  %-9s  %dx shards  %llu walks  %zu bars",
-                  static_cast<unsigned long long>(job.handle.id()),
-                  kgoa::ChartJobStateName(job.handle.state()),
-                  job.handle.num_shards(),
-                  static_cast<unsigned long long>(snapshot.estimates.walks()),
-                  chart.bars.size());
-      if (!chart.bars.empty()) {
-        const kgoa::Bar& top = chart.bars.front();
-        std::printf("  top: %s ~%.0f (+/- %.0f)",
-                    std::string(explorer->graph().dict().Spell(top.category))
-                        .c_str(),
-                    top.count, top.ci_half_width);
-      }
-      std::printf("\n");
     }
     for (const SubmittedJob& job : submitted) {
       const kgoa::ParallelOlaResult snapshot = job.handle.Snapshot();
@@ -234,20 +181,6 @@ struct Repl {
   }
 
   void CancelJob(uint64_t id) {
-    for (const SubmittedShardJob& job : submitted_sharded) {
-      if (job.handle.id() != id) continue;
-      if (job.handle.finished()) {
-        std::printf("  job %llu already %s\n",
-                    static_cast<unsigned long long>(id),
-                    kgoa::ChartJobStateName(job.handle.state()));
-        return;
-      }
-      job.handle.Cancel();  // fans out across the shards
-      std::printf("  job %llu cancel requested (%d shards)\n",
-                  static_cast<unsigned long long>(id),
-                  job.handle.num_shards());
-      return;
-    }
     for (const SubmittedJob& job : submitted) {
       if (job.handle.id() != id) continue;
       if (job.handle.finished()) {
@@ -329,11 +262,11 @@ int main(int argc, char** argv) {
     ++argv;
   }
   kgoa::Flags flags(argc, argv);
-  flags.RestrictTo("scale,budget_ms,threads,shards");
+  flags.RestrictTo("scale,budget_ms,threads");
   const double scale = flags.GetDouble("scale", 0.1);
   const double budget = flags.GetDouble("budget_ms", 150) / 1000.0;
-  const int threads = static_cast<int>(flags.GetInt("threads", 1));
-  const int shards = static_cast<int>(flags.GetInt("shards", 0));
+  const int threads =
+      std::max(1, static_cast<int>(flags.GetInt("threads", 1)));
 
   kgoa::Graph graph;
   if (path.empty()) {
@@ -361,18 +294,10 @@ int main(int argc, char** argv) {
   }
 
   kgoa::Explorer explorer(std::move(graph));
-  if (shards > 0) {
-    kgoa::ShardCoordinator::Options options;
-    options.num_shards = shards;
-    options.threads_per_shard = threads > 1 ? threads : 1;
-    // The REPL serves against the global indexes; skip the physical
-    // slice build so startup stays interactive.
-    options.build_slices = false;
-    explorer.EnableSharding(options);
-    std::printf("sharded serving: %d shards x %d threads\n", shards,
-                options.threads_per_shard);
-  }
-  Repl repl(&explorer, budget, threads, shards);
+  kgoa::ServingCore::Options serving;
+  serving.threads = threads;
+  explorer.ConfigureServing(serving);
+  Repl repl(&explorer, budget, threads);
   std::printf("%zu triples. commands: sub out in obj subj pick <n> back "
               "plan show submit <exp> [s] jobs cancel <id> "
               "insert <s> <p> <o> delete <s> <p> <o> compact metrics quit\n",

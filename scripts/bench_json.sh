@@ -7,8 +7,6 @@
 #   BENCH_serve.json  `serve_trace` from serve_concurrency — serving-core
 #                     time-to-CI under concurrency and cancellation
 #                     latency.
-#   BENCH_shard.json  `shard_trace` from shard_scaling — scatter-gather
-#                     time-to-CI at 1/2/4 shards.
 #   BENCH_index.json  `index_trace` from index_memory — raw vs block
 #                     storage-tier bytes and top-K time-to-displayed-chart.
 #   BENCH_kernels.json `kernel_trace` from kernel_throughput — the SIMD
@@ -20,13 +18,13 @@
 #                     0% / 1% / 10% write mixes, plus compaction cost.
 #
 # Usage: scripts/bench_json.sh [--quick] [reach_out.json] [serve_out.json]
-#                              [shard_out.json] [index_out.json]
-#                              [kernels_out.json] [update_out.json]
+#                              [index_out.json] [kernels_out.json]
+#                              [update_out.json]
 #
 #   --quick    Smoke-sized runs (KGOA_BENCH_QUICK=1) — what tier1.sh runs.
 #   outputs    Default to BENCH_reach.json / BENCH_serve.json /
-#              BENCH_shard.json / BENCH_index.json / BENCH_kernels.json /
-#              BENCH_update.json in the repo root (the tracked copies).
+#              BENCH_index.json / BENCH_kernels.json / BENCH_update.json
+#              in the repo root (the tracked copies).
 #
 # The build directory defaults to ./build; override with KGOA_BENCH_BUILD.
 # Each emitted JSON has the stable key set checked at the bottom of this
@@ -45,13 +43,12 @@ for arg in "$@"; do
 done
 REACH_OUT="${OUTS[0]:-BENCH_reach.json}"
 SERVE_OUT="${OUTS[1]:-BENCH_serve.json}"
-SHARD_OUT="${OUTS[2]:-BENCH_shard.json}"
-INDEX_OUT="${OUTS[3]:-BENCH_index.json}"
-KERNELS_OUT="${OUTS[4]:-BENCH_kernels.json}"
-UPDATE_OUT="${OUTS[5]:-BENCH_update.json}"
+INDEX_OUT="${OUTS[2]:-BENCH_index.json}"
+KERNELS_OUT="${OUTS[3]:-BENCH_kernels.json}"
+UPDATE_OUT="${OUTS[4]:-BENCH_update.json}"
 
 BUILD="${KGOA_BENCH_BUILD:-build}"
-for bin in micro_sample_time serve_concurrency shard_scaling index_memory \
+for bin in micro_sample_time serve_concurrency index_memory \
            kernel_throughput update_load; do
   if [[ ! -x "$BUILD/bench/$bin" ]]; then
     cmake --build "$BUILD" --target "$bin" -j "$(nproc)"
@@ -65,7 +62,6 @@ if [[ "$QUICK" == "1" ]]; then
         --benchmark_filter='^$' 2>/dev/null)
   SERVE_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/serve_concurrency" \
               2>/dev/null)
-  SHARD_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/shard_scaling" 2>/dev/null)
   INDEX_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/index_memory" 2>/dev/null)
   KERNELS_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/kernel_throughput" \
                 2>/dev/null)
@@ -74,7 +70,6 @@ else
   RAW=$("$BUILD/bench/micro_sample_time" --benchmark_filter='^BM_Reach' \
         2>/dev/null)
   SERVE_RAW=$("$BUILD/bench/serve_concurrency" 2>/dev/null)
-  SHARD_RAW=$("$BUILD/bench/shard_scaling" 2>/dev/null)
   INDEX_RAW=$("$BUILD/bench/index_memory" 2>/dev/null)
   KERNELS_RAW=$("$BUILD/bench/kernel_throughput" 2>/dev/null)
   UPDATE_RAW=$("$BUILD/bench/update_load" 2>/dev/null)
@@ -83,8 +78,6 @@ fi
 echo "$RAW" | grep '^reach_trace ' | sed 's/^reach_trace //' > "$REACH_OUT"
 echo "$SERVE_RAW" | grep '^serve_trace ' | sed 's/^serve_trace //' \
     > "$SERVE_OUT"
-echo "$SHARD_RAW" | grep '^shard_trace ' | sed 's/^shard_trace //' \
-    > "$SHARD_OUT"
 echo "$INDEX_RAW" | grep '^index_trace ' | sed 's/^index_trace //' \
     > "$INDEX_OUT"
 echo "$KERNELS_RAW" | grep '^kernel_trace ' | sed 's/^kernel_trace //' \
@@ -92,8 +85,8 @@ echo "$KERNELS_RAW" | grep '^kernel_trace ' | sed 's/^kernel_trace //' \
 echo "$UPDATE_RAW" | grep '^update_trace ' | sed 's/^update_trace //' \
     > "$UPDATE_OUT"
 
-python3 - "$REACH_OUT" "$SERVE_OUT" "$SHARD_OUT" "$INDEX_OUT" \
-    "$KERNELS_OUT" "$UPDATE_OUT" <<'EOF'
+python3 - "$REACH_OUT" "$SERVE_OUT" "$INDEX_OUT" "$KERNELS_OUT" \
+    "$UPDATE_OUT" <<'EOF'
 import json
 import sys
 
@@ -107,9 +100,8 @@ def require(path, trace, counters, gauges):
     if missing:
         sys.exit(f"bench_json.sh: {path} is missing stable keys: {missing}")
 
-reach_path, serve_path, shard_path, index_path, kernels_path, update_path = (
-    sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5],
-    sys.argv[6])
+reach_path, serve_path, index_path, kernels_path, update_path = (
+    sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5])
 
 reach = load(reach_path)
 require(reach_path, reach, {
@@ -142,24 +134,6 @@ print(f"bench_json.sh: wrote {serve_path} "
       f"4-way={serve['gauges']['serve.concurrent_seconds_to_ci']*1e3:.0f} ms,"
       f" cancel="
       f"{serve['gauges']['serve.cancel_latency_mean_seconds']*1e3:.2f} ms)")
-
-shard = load(shard_path)
-require(shard_path, shard, {
-    "shard.count", "shard.jobs_submitted", "shard.shard_jobs_submitted",
-    "shard.threads", "shard.core_jobs_submitted",
-    "shard.core_jobs_completed", "shard.core_jobs_cancelled",
-    "shard.quanta", "shard.walks", "shard.triples_min", "shard.triples_max",
-    "shard.triples_total",
-}, {
-    "shard.ci_target", "shard.balance", "shard.s1_seconds_to_ci",
-    "shard.s1_walks_to_ci", "shard.s2_seconds_to_ci", "shard.s2_walks_to_ci",
-    "shard.s2_speedup", "shard.s4_seconds_to_ci", "shard.s4_walks_to_ci",
-    "shard.s4_speedup",
-})
-print(f"bench_json.sh: wrote {shard_path} "
-      f"(1 shard={shard['gauges']['shard.s1_seconds_to_ci']*1e3:.0f} ms, "
-      f"4 shards={shard['gauges']['shard.s4_seconds_to_ci']*1e3:.0f} ms, "
-      f"s4 speedup={shard['gauges']['shard.s4_speedup']:.2f}x)")
 
 index = load(index_path)
 require(index_path, index, {

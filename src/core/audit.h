@@ -184,12 +184,13 @@ class AuditJoin {
   // Concurrency contract (capability model, DESIGN.md §11): AuditJoin
   // itself is single-threaded — every field here is engine-private — but
   // `reach_` may point at a cache SHARED with engines on other threads
-  // (ParallelOlaExecutor / ServingCore slots / ShardCoordinator jobs).
-  // That is safe without a lock on this side because ReachProbability is
-  // internally synchronized: its ShardedFlatTable memos take striped
-  // per-shard kgoa::Mutexes on insert and are lock-free (acquire-load)
-  // on probe, and memo values are pure functions of (indexes, plan), so
-  // racing inserts are benign (src/index/concurrent_flat_table.h).
+  // (the slots of a ServingCore job, or concurrent jobs on one warm
+  // session cache). That is safe without a lock on this side because
+  // ReachProbability is internally synchronized: its ShardedFlatTable
+  // memos take striped per-shard kgoa::Mutexes on insert and are
+  // lock-free (acquire-load) on probe, and memo values are pure functions
+  // of (indexes, plan), so racing inserts are benign
+  // (src/index/concurrent_flat_table.h).
   ReachProbability* reach_;
   GroupedEstimates estimates_;
   // Re-seeded per walk from WalkSeed(options_.seed, walk_counter_): walk

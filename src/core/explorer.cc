@@ -37,9 +37,6 @@ MutableGraph::CompactTicket Explorer::CompactAsync() {
 void Explorer::AfterPublish() {
   const uint64_t epoch = mutable_graph_.epoch();
   reach_caches_.EvictStale(epoch);
-  if (shard_coordinator_ != nullptr) {
-    shard_coordinator_->EvictStaleReach(epoch);
-  }
   ExportMetrics(mutable_graph_, "epoch.", &metrics_);
   ExportReachMetrics();
 }
@@ -131,31 +128,14 @@ Chart Explorer::ApproximateChart(const ChainQuery& query, double seconds,
 
 Chart Explorer::ApproximateChartParallel(const ChainQuery& query,
                                          double seconds, BarKind kind,
-                                         ParallelOlaOptions options) const {
-  // Grow the pool-to-be if the caller wants more concurrency than the
-  // default and no pool exists yet; an existing pool keeps its size (it
-  // may be running other jobs) and simply caps this job's concurrency.
-  if (serving_core_ == nullptr) {
-    serving_options_.threads =
-        std::max(serving_options_.threads, options.threads);
-  }
-  ChartJobOptions job;
-  job.walk_budget = 0;
-  job.deadline_seconds = seconds;
-  job.workers = std::max(1, options.threads);
-  job.max_concurrency = options.threads;
-  job.seed = options.seed;
-  job.engine = options.engine;
-  job.walk_order = std::move(options.walk_order);
-  job.tipping_threshold = options.tipping_threshold;
-  job.share_reach = options.share_reach;
-  job.shared_reach = options.shared_reach;
-  job.snapshot_period = options.snapshot_period;
-  const ParallelOlaResult run = SubmitChart(query, std::move(job)).Await();
+                                         ChartJobOptions options) const {
+  options.deadline_seconds = seconds;
+  const OlaEngineKind engine = options.engine;
+  const ParallelOlaResult run = SubmitChart(query, std::move(options)).Await();
 
-  const char* prefix = EngineMetricPrefix(options.engine);
+  const char* prefix = EngineMetricPrefix(engine);
   ExportMetrics(run.counters, prefix, &metrics_);
-  if (options.engine == OlaEngineKind::kAudit) ExportReachMetrics();
+  if (engine == OlaEngineKind::kAudit) ExportReachMetrics();
   metrics_.Add(std::string(prefix) + "walks", run.estimates.walks());
   metrics_.Add(std::string(prefix) + "rejected_walks",
                run.estimates.rejected_walks());
@@ -208,57 +188,6 @@ ChartHandle Explorer::SubmitChart(const ChainQuery& query,
 void Explorer::ConfigureServing(ServingCore::Options options) const {
   serving_core_.reset();  // joins the pool; cancels any live jobs
   serving_options_ = options;
-}
-
-void Explorer::EnableSharding(ShardCoordinator::Options options) const {
-  shard_coordinator_.reset();  // joins the shard pools first
-  shard_coordinator_ = std::make_unique<ShardCoordinator>(
-      mutable_graph_.snapshot(), options);
-  ExportMetrics(*shard_coordinator_, "shard.", &metrics_);
-}
-
-ShardCoordinator& Explorer::shard_coordinator() const {
-  KGOA_CHECK_MSG(shard_coordinator_ != nullptr,
-                 "call EnableSharding before sharded serving");
-  return *shard_coordinator_;
-}
-
-ShardChartHandle Explorer::SubmitChartSharded(const ChainQuery& query,
-                                              ShardChartOptions options)
-    const {
-  // Pin the CURRENT version for the whole fan-out (the coordinator pins
-  // its construction-time version otherwise, which writes supersede).
-  if (!options.snapshot.valid()) options.snapshot = mutable_graph_.snapshot();
-  ShardChartHandle handle =
-      shard_coordinator().Submit(query, std::move(options));
-  metrics_.Add("explorer.sharded_jobs_submitted", 1);
-  ExportMetrics(*shard_coordinator_, "shard.", &metrics_);
-  return handle;
-}
-
-Chart Explorer::ApproximateChartSharded(const ChainQuery& query,
-                                        double seconds, BarKind kind,
-                                        ShardChartOptions options) const {
-  options.walk_budget = 0;
-  options.deadline_seconds = seconds;
-  const OlaEngineKind engine = options.engine;
-  const ParallelOlaResult run =
-      SubmitChartSharded(query, std::move(options)).Await();
-
-  const char* prefix = EngineMetricPrefix(engine);
-  ExportMetrics(run.counters, prefix, &metrics_);
-  metrics_.Add(std::string(prefix) + "walks", run.estimates.walks());
-  metrics_.Add(std::string(prefix) + "rejected_walks",
-               run.estimates.rejected_walks());
-  metrics_.Add("explorer.charts", 1);
-  metrics_.SetGauge("explorer.last_chart_seconds", run.elapsed_seconds);
-  metrics_.SetGauge("explorer.last_chart_walks_per_second",
-                    run.elapsed_seconds > 0
-                        ? static_cast<double>(run.estimates.walks()) /
-                              run.elapsed_seconds
-                        : 0.0);
-  ExportMetrics(*shard_coordinator_, "shard.", &metrics_);
-  return ChartFromEstimates(run.estimates, kind);
 }
 
 ServeStats Explorer::serve_stats() const {

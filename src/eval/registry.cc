@@ -12,7 +12,6 @@
 #include "src/index/index_set.h"
 #include "src/index/kernels.h"
 #include "src/ola/wander.h"
-#include "src/shard/coordinator.h"
 #include "src/util/simd.h"
 
 namespace kgoa {
@@ -118,7 +117,7 @@ void ExportMetrics(const AuditJoin& engine, std::string_view prefix,
   registry->Add(p + "ctj_cache_hits", engine.suffix_cache_hits());
   registry->Add(p + "batched_walks", engine.batched_walks());
   if (engine.owns_reach()) {
-    // A shared cache is exported once by its owner (executor or
+    // A shared cache is exported once by its owner (serving job or
     // session registry), not per engine.
     const ShardedTableStats reach = engine.reach().stats();
     registry->Add(p + "reach_hits", reach.hits);
@@ -179,7 +178,7 @@ void ExportMetrics(const IndexSet& indexes, std::string_view prefix,
   registry->SetCounter(p + "memory_bytes", indexes.ApproxMemoryBytes());
   // Per-tier resident bytes (exactly one is nonzero — the four orders
   // share a storage tier). The raw/block split is what the memory-ratio
-  // bench and ShardedGraph accounting read back.
+  // bench reads back.
   registry->SetCounter(p + "memory_bytes.raw", indexes.RawStorageBytes());
   registry->SetCounter(p + "memory_bytes.block", indexes.BlockStorageBytes());
   registry->SetGauge(p + "build_ms", stats.total_ms);
@@ -200,30 +199,6 @@ void ExportMetrics(const IndexSet& indexes, std::string_view prefix,
   }
   registry->SetCounter(p + "depth1_entries", depth1_entries);
   registry->SetCounter(p + "depth2_entries", depth2_entries);
-}
-
-void ExportMetrics(const ShardCoordinator& coordinator,
-                   std::string_view prefix, MetricsRegistry* registry) {
-  const std::string p(prefix);
-  const ShardServeStats stats = coordinator.stats();
-  registry->SetCounter(p + "count", static_cast<uint64_t>(stats.shards));
-  registry->SetCounter(p + "jobs_submitted", stats.jobs_submitted);
-  registry->SetCounter(p + "shard_jobs_submitted",
-                       stats.shard_jobs_submitted);
-  registry->SetCounter(p + "threads", stats.cores.threads);
-  registry->SetCounter(p + "core_jobs_submitted",
-                       stats.cores.jobs_submitted);
-  registry->SetCounter(p + "core_jobs_completed",
-                       stats.cores.jobs_completed);
-  registry->SetCounter(p + "core_jobs_cancelled",
-                       stats.cores.jobs_cancelled);
-  registry->SetCounter(p + "quanta", stats.cores.quanta);
-  registry->SetCounter(p + "walks", stats.cores.walks);
-  const ShardPartitionStats& partition = coordinator.partition_stats();
-  registry->SetCounter(p + "triples_min", partition.min_triples);
-  registry->SetCounter(p + "triples_max", partition.max_triples);
-  registry->SetCounter(p + "triples_total", partition.total_triples);
-  registry->SetGauge(p + "balance", partition.balance);
 }
 
 void ExportMetrics(const MutableGraph& mutable_graph, std::string_view prefix,

@@ -8,8 +8,8 @@
 // are dotted lowercase paths ("aj.tipped_walks", "explorer.charts");
 // dumps are sorted by name, so diffs of two runs line up.
 //
-// The registry itself is not synchronized: the parallel executor merges
-// per-worker counters first (src/ola/parallel.h) and a single thread
+// The registry itself is not synchronized: the serving core merges
+// per-slot counters first (src/ola/parallel.h) and a single thread
 // exports the result.
 #ifndef KGOA_EVAL_REGISTRY_H_
 #define KGOA_EVAL_REGISTRY_H_
@@ -26,7 +26,6 @@ namespace kgoa {
 class AuditJoin;
 class IndexSet;
 class MutableGraph;
-class ShardCoordinator;
 class WanderJoin;
 
 class MetricsRegistry {
@@ -73,13 +72,6 @@ void ExportMetrics(const ServeStats& stats, std::string_view prefix,
 // tables) as gauges, entry counts / triples / resident bytes as counters.
 void ExportMetrics(const IndexSet& indexes, std::string_view prefix,
                    MetricsRegistry* registry);
-
-// Sharded-serving export ("shard." by convention): shard count, scatter
-// and per-shard job counts, aggregated core scheduler totals, and the
-// partition's triple placement (min/max/total + balance gauge).
-// Cumulative values are republished with SetCounter.
-void ExportMetrics(const ShardCoordinator& coordinator,
-                   std::string_view prefix, MetricsRegistry* registry);
 
 // Snapshot-epoch export ("epoch." by convention): current epoch, overlay
 // sizes, live/base triple counts, applied batches, compactions, and the

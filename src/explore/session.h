@@ -90,10 +90,6 @@ class ExplorationSession {
   // unfinished ones, so the pool never keeps converging charts the user
   // has already left behind.
   void TrackJob(ChartHandle handle);
-  // Same, for a scatter-gather job: register every per-shard handle
-  // (ShardChartHandle::shard_handles()) so the auto-cancel on navigation
-  // fans out across the shard cores.
-  void TrackJobs(const std::vector<ChartHandle>& handles);
   const std::vector<ChartHandle>& tracked_jobs() const { return jobs_; }
 
   // Cancels all tracked unfinished jobs and clears the tracked set;

@@ -22,8 +22,8 @@ namespace kgoa {
 
 // Thread-local probe counters, exported into the MetricsRegistry by the
 // benches (src/eval/registry.h). Thread-local keeps the increments off the
-// parallel executor's shared-cache-line path; each thread sees the probes
-// it issued itself.
+// serving pool's shared-cache-line path; each thread sees the probes it
+// issued itself.
 struct IndexProbeCounters {
   uint64_t depth1_probes = 0;
   uint64_t depth2_probes = 0;

@@ -99,8 +99,7 @@ class IndexSet {
 
   // Bytes resident in each storage tier across the four orders (exactly
   // one is nonzero: the orders share a tier). The registry's
-  // index.memory_bytes.raw / index.memory_bytes.block gauges and
-  // ShardedGraph's memory accounting read these.
+  // index.memory_bytes.raw / index.memory_bytes.block gauges read these.
   uint64_t RawStorageBytes() const;
   uint64_t BlockStorageBytes() const;
 

@@ -21,15 +21,6 @@ GraphSnapshot GraphSnapshot::Unowned(const IndexSet& indexes) {
   return GraphSnapshot(std::move(version));
 }
 
-GraphSnapshot GraphSnapshot::Unowned(const Graph& graph,
-                                     const IndexSet& indexes) {
-  auto version = std::make_shared<GraphVersion>();
-  version->graph = NoOpShared(graph);
-  version->base_indexes = NoOpShared(indexes);
-  version->view = version->base_indexes;
-  return GraphSnapshot(std::move(version));
-}
-
 GraphSnapshot GraphSnapshot::Unowned(const Graph& graph) {
   auto version = std::make_shared<GraphVersion>();
   version->graph = NoOpShared(graph);

@@ -17,10 +17,11 @@
 // (version, query, seed, budget, workers) no matter how many epochs are
 // published while it runs.
 //
-// Unowned() adapters wrap externally owned structures (the immutable
-// single-graph setups of tests and benches) in a no-op-deleter version at
-// epoch 0, so every serving layer can take a GraphSnapshot without forcing
-// callers through MutableGraph.
+// Unowned() adapters wrap externally owned structures in a no-op-deleter
+// version at epoch 0. They are the one seam that lets tests and benches
+// serve immutable indexes they own on the stack through the only serving
+// path (ServingCore on a GraphSnapshot) without going through
+// MutableGraph; library serving code pins MutableGraph snapshots instead.
 #ifndef KGOA_INDEX_SNAPSHOT_H_
 #define KGOA_INDEX_SNAPSHOT_H_
 
@@ -58,7 +59,6 @@ class GraphSnapshot {
   // Epoch-0 wrappers over externally owned structures (no-op deleters).
   // The wrapped objects must outlive every copy of the snapshot.
   static GraphSnapshot Unowned(const IndexSet& indexes);
-  static GraphSnapshot Unowned(const Graph& graph, const IndexSet& indexes);
   // Graph-only wrapper for consumers that never touch indexes()
   // (exploration sessions translate interactions; serving layers require
   // an index-carrying snapshot).

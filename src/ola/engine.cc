@@ -20,7 +20,6 @@ class AuditEngine final : public OlaEngine {
     aj.walk_order = options.walk_order;
     aj.tipping_threshold = options.tipping_threshold;
     aj.shared_reach = options.shared_reach;
-    aj.batch_walks = options.batch_walks;
     audit_ = std::make_unique<AuditJoin>(indexes, query, aj);
   }
 
@@ -39,8 +38,8 @@ class AuditEngine final : public OlaEngine {
     out->batched_walks += audit_->batched_walks();
     if (audit_->owns_reach()) {
       // Private cache: this engine's stats are its own to report. A
-      // shared cache is reported once by the executor instead (as a
-      // per-run delta), so the worker merge cannot multiply it.
+      // shared cache is reported once by the serving core instead (as a
+      // per-job delta), so the slot merge cannot multiply it.
       const ShardedTableStats reach = audit_->reach().stats();
       out->reach_hits += reach.hits;
       out->reach_misses += reach.misses;
@@ -67,7 +66,6 @@ class WanderEngine final : public OlaEngine {
     WanderJoin::Options wj;
     wj.seed = options.seed;
     wj.walk_order = options.walk_order;
-    wj.batch_walks = options.batch_walks;
     wander_ = std::make_unique<WanderJoin>(indexes, query, wj);
   }
 

@@ -2,7 +2,7 @@
 //
 // The serving core (src/ola/parallel.h) time-slices many concurrent chart
 // jobs over one worker pool. Doing that per engine type would wire every
-// engine's quirks into the scheduler, so the executor instead talks to
+// engine's quirks into the scheduler, so the scheduler instead talks to
 // this minimal interface — construct, RunWalks(n), read the partial
 // estimates, read the work counters — and each of the repo's three OLA
 // engines implements it:
@@ -40,8 +40,8 @@ class ReachProbability;
 // not track stay zero (e.g. tipping counters under Wander Join).
 //
 // The reach_* counters describe the reach-probability cache of the
-// distinct estimator. With a shared cache they are filled once per run by
-// the executor (as this run's delta over the cache's atomic shard
+// distinct estimator. With a shared cache they are filled once per job by
+// the serving core (as this job's delta over the cache's atomic shard
 // counters) rather than per worker; they are exact totals but
 // scheduling-dependent — see src/core/reach.h — so they are excluded from
 // the walk-budget determinism contract.
@@ -97,10 +97,6 @@ struct OlaEngineOptions {
   // reach-probability cache instead of a private one. Must match the
   // engine's (query, walk order) and outlive it — see src/core/reach.h.
   ReachProbability* shared_reach = nullptr;
-  // Walk-sampling engines: walks advanced per structure-of-arrays batch
-  // (0 = kDefaultWalkBatch, 1 = unbatched). Estimates are bit-identical
-  // for every width (per-walk counter-derived RNG); ignored by Ripple.
-  uint32_t batch_walks = 0;
 };
 
 // One worker's engine. Implementations are not thread-safe: the serving

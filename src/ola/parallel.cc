@@ -139,7 +139,7 @@ struct ServingCore::State {
 //   slot.publish_mutex   that slot's published partial/counters.
 //   topk_mutex       top-K refresh pacing (tracker internals have their
 //                    own lock — src/ola/topk.h).
-//   done_mutex       result/final_partials publication + done_cv.
+//   done_mutex       result publication + done_cv.
 //   callback_mutex   snapshot-callback serialization + pacing tick.
 //
 // Engines are only touched by the single worker that checked the slot
@@ -200,7 +200,6 @@ class ChartJob {
     engine_template.kind = options.engine;
     engine_template.walk_order = options.walk_order;
     engine_template.tipping_threshold = options.tipping_threshold;
-    engine_template.batch_walks = options.batch_walks;
 
     // Non-mergeable engines (Ripple) run on exactly one logical worker:
     // their partials cannot be folded across independently seeded
@@ -307,16 +306,12 @@ class ChartJob {
   Mutex topk_mutex;
   SteadyClock::time_point next_topk_tick KGOA_GUARDED_BY(topk_mutex){};
 
-  // Completion signalling; `result` and `final_partials` are written once
-  // under done_mutex before `state` advances to kDone/kCancelled.
+  // Completion signalling; `result` is written once under done_mutex
+  // before `state` advances to kDone/kCancelled.
   mutable Mutex done_mutex;
   mutable CondVar done_cv;
   std::atomic<int> state{static_cast<int>(ChartJobState::kQueued)};
   ParallelOlaResult result KGOA_GUARDED_BY(done_mutex);
-  // Per-slot final estimates in slot order (empty estimates for slots
-  // that never built an engine), kept for scatter-gather slot-order folds
-  // (ChartHandle::SlotPartials).
-  std::vector<GroupedEstimates> final_partials KGOA_GUARDED_BY(done_mutex);
 
   // Snapshot-subscription pacing; callbacks are serialized per job.
   Mutex callback_mutex;
@@ -481,18 +476,14 @@ void FinalizeJob(ChartJob& job, bool cancelled)
   ParallelOlaResult result;
   result.workers = static_cast<int>(job.slots.size());
   bool mergeable = true;
-  // Ordered merge over logical slots: the double summation happens in the
-  // same order no matter how quanta were interleaved with other jobs or
-  // scheduled onto threads, so the result is bit-identical across pool
-  // sizes and across solo vs. concurrent serving. The per-slot finals are
-  // retained (empty for never-run slots, keeping slot alignment) so a
-  // scatter-gather across jobs can redo this fold in global slot order.
-  std::vector<GroupedEstimates> final_partials(job.slots.size());
-  for (std::size_t s = 0; s < job.slots.size(); ++s) {
-    ChartJob::Slot& slot = job.slots[s];
+  // Ordered merge over logical slots, straight from the slot engines: the
+  // double summation happens in the same order no matter how quanta were
+  // interleaved with other jobs or scheduled onto threads, so the result
+  // is bit-identical across pool sizes and across solo vs. concurrent
+  // serving. Slots that never built an engine contribute nothing.
+  for (ChartJob::Slot& slot : job.slots) {
     if (slot.engine == nullptr) continue;
-    final_partials[s] = slot.engine->estimates();
-    result.estimates.Merge(final_partials[s]);
+    result.estimates.Merge(slot.engine->estimates());
     slot.engine->FillCounters(&result.counters);
     mergeable = mergeable && slot.engine->mergeable();
   }
@@ -527,7 +518,6 @@ void FinalizeJob(ChartJob& job, bool cancelled)
   {
     MutexLock lock(job.done_mutex);
     job.result = std::move(result);
-    job.final_partials = std::move(final_partials);
     job.state.store(static_cast<int>(cancelled ? ChartJobState::kCancelled
                                                : ChartJobState::kDone),
                     std::memory_order_release);
@@ -568,27 +558,28 @@ bool RetireJobLocked(ServingCore::State& state,
 // false when no work is available.
 bool PickWork(ServingCore::State& state, std::shared_ptr<ChartJob>* out_job,
               int* out_slot) KGOA_REQUIRES(state.mutex) {
-  std::size_t best = state.queue.size();
-  for (std::size_t i = 0; i < state.queue.size();) {
-    ChartJob& job = *state.queue[i];
-    if (!HasAvailableSlot(state, job)) {
-      // Stale entry (fully checked out, exhausted, or cancelled since it
-      // was queued): drop it — workers returning slots re-queue jobs that
-      // regain available work.
-      job.in_queue = false;
-      state.queue.erase(state.queue.begin() +
-                        static_cast<std::ptrdiff_t>(i));
-      continue;
+  // Drop stale entries first (fully checked out, exhausted, or stopped
+  // since they were queued — e.g. a top-K self-finish requested
+  // mid-quantum): workers returning slots re-queue jobs that regain
+  // available work.
+  for (auto it = state.queue.begin(); it != state.queue.end();) {
+    if (HasAvailableSlot(state, **it)) {
+      ++it;
+    } else {
+      (*it)->in_queue = false;
+      it = state.queue.erase(it);
     }
-    if (best == state.queue.size() ||
-        job.options.priority > state.queue[best]->options.priority) {
-      best = i;
-    }
-    ++i;
   }
-  if (best == state.queue.size()) return false;
-
-  std::shared_ptr<ChartJob> job = state.queue[best];
+  if (state.queue.empty()) return false;
+  // Then the FIRST entry of the highest priority, which keeps equal
+  // priorities round-robin.
+  const auto pick = std::max_element(
+      state.queue.begin(), state.queue.end(),
+      [](const std::shared_ptr<ChartJob>& a,
+         const std::shared_ptr<ChartJob>& b) {
+        return a->options.priority < b->options.priority;
+      });
+  std::shared_ptr<ChartJob> job = *pick;
   const int slot = FirstAvailableSlot(state, *job);
   KGOA_DCHECK(slot >= 0);
   job->slots[static_cast<std::size_t>(slot)].checked_out = true;
@@ -597,8 +588,7 @@ bool PickWork(ServingCore::State& state, std::shared_ptr<ChartJob>* out_job,
                    std::memory_order_release);
   // Rotate: whatever happens to this job, it goes to the back (or out) of
   // the queue, so its peers get the next slices.
-  state.queue.erase(state.queue.begin() +
-                    static_cast<std::ptrdiff_t>(best));
+  state.queue.erase(pick);
   if (HasAvailableSlot(state, *job)) {
     state.queue.push_back(job);
   } else {
@@ -781,23 +771,9 @@ ParallelOlaResult ChartHandle::Await() const {
   return job_->result;
 }
 
-std::vector<GroupedEstimates> ChartHandle::SlotPartials() const {
-  KGOA_CHECK(job_ != nullptr);
-  KGOA_CHECK_MSG(JobFinished(*job_),
-                 "SlotPartials is only valid once the job finished");
-  MutexLock lock(job_->done_mutex);
-  return job_->final_partials;
-}
-
 // ---------------------------------------------------------------------------
 // ServingCore
 // ---------------------------------------------------------------------------
-
-ServingCore::ServingCore(const IndexSet& indexes)
-    : ServingCore(GraphSnapshot::Unowned(indexes), Options()) {}
-
-ServingCore::ServingCore(const IndexSet& indexes, Options options)
-    : ServingCore(GraphSnapshot::Unowned(indexes), options) {}
 
 ServingCore::ServingCore(GraphSnapshot snapshot, Options options)
     : default_snapshot_(std::move(snapshot)), options_(options) {
@@ -954,106 +930,6 @@ void ServingCore::WorkerMain() {
       lock.Lock();
     }
   }
-}
-
-// ---------------------------------------------------------------------------
-// Synchronous executor on top of the serving core
-// ---------------------------------------------------------------------------
-
-ParallelOlaExecutor::ParallelOlaExecutor(const IndexSet& indexes,
-                                         ChainQuery query,
-                                         ParallelOlaOptions options)
-    : ParallelOlaExecutor(GraphSnapshot::Unowned(indexes), std::move(query),
-                          std::move(options)) {}
-
-ParallelOlaExecutor::ParallelOlaExecutor(GraphSnapshot snapshot,
-                                         ChainQuery query,
-                                         ParallelOlaOptions options)
-    : snapshot_(std::move(snapshot)),
-      query_(std::move(query)),
-      options_(std::move(options)) {
-  KGOA_CHECK(snapshot_.valid());
-  KGOA_CHECK(options_.threads >= 1);
-  KGOA_CHECK(options_.workers >= 1);
-  // Only the audit engine's distinct estimator audits reach
-  // probabilities; everything else runs cache-less.
-  if (options_.engine == OlaEngineKind::kAudit && query_.distinct()) {
-    if (options_.shared_reach != nullptr) {
-      shared_reach_ = options_.shared_reach;
-    } else if (options_.share_reach) {
-      shared_plan_ = std::make_unique<WalkPlan>(
-          WalkPlan::Compile(query_, options_.walk_order));
-      owned_shared_reach_ = std::make_unique<ReachProbability>(
-          snapshot_.indexes(), *shared_plan_);
-      shared_reach_ = owned_shared_reach_.get();
-    }
-  }
-}
-
-ParallelOlaExecutor::~ParallelOlaExecutor() = default;
-
-ServingCore& ParallelOlaExecutor::Core() const {
-  // Guarded lazy construction: Run* calls are const and documented
-  // thread-safe, so two threads' first calls must not race building the
-  // pool. (Annotation-era finding: the pre-TSA code built `core_` behind
-  // no lock — a real construction race under concurrent first Runs,
-  // pinned by SyncTest.ConcurrentExecutorRunsShareOneCore.)
-  MutexLock lock(core_mutex_);
-  if (core_ == nullptr) {
-    ServingCore::Options core_options;
-    core_options.threads = std::max(1, options_.threads);
-    core_options.quantum_walks =
-        std::max<uint64_t>(1, options_.publish_every);
-    core_ = std::make_unique<ServingCore>(snapshot_, core_options);
-  }
-  return *core_;
-}
-
-ChartJobOptions ParallelOlaExecutor::BaseJobOptions() const {
-  ChartJobOptions job;
-  job.seed = options_.seed;
-  job.engine = options_.engine;
-  job.walk_order = options_.walk_order;
-  job.tipping_threshold = options_.tipping_threshold;
-  job.batch_walks = options_.batch_walks;
-  // The executor resolved reach sharing at construction (so the cache
-  // stays warm across Run calls); the job must not build its own.
-  job.share_reach = false;
-  job.shared_reach = shared_reach_;
-  job.snapshot = snapshot_;
-  job.snapshot_period = options_.snapshot_period;
-  return job;
-}
-
-ParallelOlaResult ParallelOlaExecutor::RunForDuration(
-    double seconds, const OlaSnapshotCallback& callback) const {
-  ChartJobOptions job = BaseJobOptions();
-  job.walk_budget = 0;
-  job.deadline_seconds = seconds;
-  // One logical worker per pool thread, like the original deadline mode.
-  job.workers = std::max(1, options_.threads);
-  job.max_concurrency = options_.threads;
-  job.on_snapshot = callback;
-  return Core().Submit(query_, std::move(job)).Await();
-}
-
-ParallelOlaResult ParallelOlaExecutor::RunWalkBudget(
-    uint64_t total_walks, const OlaSnapshotCallback& callback) const {
-  ChartJobOptions job = BaseJobOptions();
-  job.walk_budget = total_walks;
-  job.workers = std::max(1, options_.workers);
-  job.max_concurrency = options_.threads;
-  job.on_snapshot = callback;
-  return Core().Submit(query_, std::move(job)).Await();
-}
-
-GroupedEstimates RunParallelOla(const IndexSet& indexes,
-                                const ChainQuery& query,
-                                const ParallelOlaOptions& options,
-                                double seconds) {
-  return ParallelOlaExecutor(indexes, query, options)
-      .RunForDuration(seconds)
-      .estimates;
 }
 
 }  // namespace kgoa

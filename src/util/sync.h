@@ -1,7 +1,7 @@
 // Synchronization primitives with Clang Thread Safety Analysis teeth.
 //
 // The serving stack's headline guarantee — budget-mode estimates that are
-// bit-identical across threads, shards and concurrent serves — rests on a
+// bit-identical across pool sizes and concurrent serves — rests on a
 // locking discipline: every scheduler field has exactly one guarding
 // mutex, and every helper that touches it documents which lock it expects
 // held. TSan checks that discipline *dynamically*, on the interleavings a

@@ -669,33 +669,19 @@ TEST(BlockTier, BudgetEstimatesBitIdenticalToRawAcrossPools) {
   ASSERT_TRUE(q.has_value());
 
   constexpr uint64_t kBudget = 1501;  // remainder path
+  ChartJobOptions job;
+  job.walk_budget = kBudget;
+  job.workers = 4;
+  job.seed = 23;
+  job.tipping_threshold = 2.0;  // stochastic mode
   for (int threads : {1, 2, 8}) {
-    ServingCore::Options core_options;
-    core_options.threads = threads;
-    ServingCore raw_core(raw, core_options);
-    ServingCore block_core(block, core_options);
-
-    ChartJobOptions job;
-    job.walk_budget = kBudget;
-    job.workers = 4;
-    job.seed = 23;
-    job.tipping_threshold = 2.0;  // stochastic mode
-    const ParallelOlaResult from_raw = raw_core.Submit(*q, job).Await();
-    const ParallelOlaResult from_block = block_core.Submit(*q, job).Await();
-
+    SCOPED_TRACE(::testing::Message() << threads << " threads");
+    const ParallelOlaResult from_raw =
+        testing::ServeOnce(GraphSnapshot::Unowned(raw), *q, job, threads);
+    const ParallelOlaResult from_block =
+        testing::ServeOnce(GraphSnapshot::Unowned(block), *q, job, threads);
     ASSERT_EQ(from_raw.estimates.walks(), kBudget);
-    ASSERT_EQ(from_block.estimates.walks(), kBudget);
-    const auto ea = from_raw.estimates.Estimates();
-    const auto eb = from_block.estimates.Estimates();
-    ASSERT_EQ(ea.size(), eb.size()) << threads << " threads";
-    for (const auto& [group, estimate] : ea) {
-      const auto it = eb.find(group);
-      ASSERT_NE(it, eb.end());
-      EXPECT_EQ(estimate, it->second) << "group " << group;
-      EXPECT_EQ(from_raw.estimates.CiHalfWidth(group),
-                from_block.estimates.CiHalfWidth(group))
-          << "group " << group;
-    }
+    testing::ExpectBitIdentical(from_raw.estimates, from_block.estimates);
   }
 }
 

@@ -1,13 +1,15 @@
-// Tests for estimator merging and the parallel OLA executor.
+// Tests for estimator merging and parallel serving through ServingCore.
 //
 // The convergence tests use the deterministic walk-budget mode rather than
 // wall-clock deadlines, so they are reproducible and independent of machine
-// load — and they double as the tier-1 check of the executor's core
+// load — and they double as the tier-1 check of the serving core's
 // guarantee: a budgeted run is a pure function of (query, seed, budget,
 // workers), bit-identical across thread counts and equal to a sequential
-// run over the union of the per-worker seeds.
+// run over the union of the per-worker seeds. Batch width and kernel
+// dispatch level are checked one layer down, on the walk engines.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <vector>
 
@@ -124,21 +126,6 @@ class ParallelTest : public ::testing::Test {
   IndexSet indexes_;
 };
 
-void ExpectBitIdentical(const GroupedEstimates& a, const GroupedEstimates& b) {
-  EXPECT_EQ(a.walks(), b.walks());
-  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
-  const auto ea = a.Estimates();
-  const auto eb = b.Estimates();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (const auto& [group, estimate] : ea) {
-    const auto it = eb.find(group);
-    ASSERT_NE(it, eb.end());
-    EXPECT_EQ(estimate, it->second) << "group " << group;
-    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group)) << "group "
-                                                          << group;
-  }
-}
-
 // The satellite check: a 4-worker budgeted parallel run merges to exactly
 // the same estimate as one sequential pass over the union of the per-worker
 // seeds — GroupedEstimates::Merge is exact, not approximate.
@@ -146,13 +133,13 @@ TEST_F(ParallelTest, WalkBudgetEqualsSequentialUnionOfSeeds) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 2002;  // not divisible by 4: remainder path
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 2;
-  options.seed = 17;
-  options.tipping_threshold = 2.0;
-  const ParallelOlaResult parallel =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+  ChartJobOptions job;
+  job.walk_budget = kBudget;
+  job.workers = 4;
+  job.seed = 17;
+  job.tipping_threshold = 2.0;
+  const ParallelOlaResult parallel = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/2);
   EXPECT_EQ(parallel.workers, 4);
   EXPECT_EQ(parallel.estimates.walks(), kBudget);
 
@@ -161,102 +148,119 @@ TEST_F(ParallelTest, WalkBudgetEqualsSequentialUnionOfSeeds) {
   GroupedEstimates sequential;
   for (uint64_t w = 0; w < 4; ++w) {
     AuditJoin::Options aj;
-    aj.seed = options.seed + w;
-    aj.tipping_threshold = options.tipping_threshold;
+    aj.seed = job.seed + w;
+    aj.tipping_threshold = job.tipping_threshold;
     AuditJoin engine(indexes_, query, aj);
     engine.RunWalks(kBudget / 4 + (w < kBudget % 4 ? 1 : 0));
     sequential.Merge(engine.estimates());
   }
-  ExpectBitIdentical(parallel.estimates, sequential);
+  testing::ExpectBitIdentical(parallel.estimates, sequential);
+}
+
+// A budget smaller than the worker count leaves the trailing slots with a
+// zero share: they never build an engine, and the merge skips them.
+TEST_F(ParallelTest, WalkBudgetBelowWorkerCountSkipsEmptySlots) {
+  const ChainQuery query = Fig5(true);
+  ChartJobOptions job;
+  job.walk_budget = 3;
+  job.workers = 8;
+  job.seed = 17;
+  job.tipping_threshold = 2.0;
+  const ParallelOlaResult run = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/2);
+
+  GroupedEstimates sequential;
+  for (uint64_t w = 0; w < 3; ++w) {
+    AuditJoin::Options aj;
+    aj.seed = job.seed + w;
+    aj.tipping_threshold = job.tipping_threshold;
+    AuditJoin engine(indexes_, query, aj);
+    engine.RunWalks(1);
+    sequential.Merge(engine.estimates());
+  }
+  testing::ExpectBitIdentical(run.estimates, sequential);
 }
 
 TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossThreadCounts) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 3000;
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.tipping_threshold = 2.0;
+  ChartJobOptions job;
+  job.walk_budget = kBudget;
+  job.workers = 4;
+  job.tipping_threshold = 2.0;
   GroupedEstimates reference;
   for (int threads : {1, 2, 4}) {
-    options.threads = threads;
-    const ParallelOlaResult run =
-        ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+    const ParallelOlaResult run = testing::ServeOnce(
+        GraphSnapshot::Unowned(indexes_), query, job, threads);
     EXPECT_EQ(run.estimates.walks(), kBudget);
     if (threads == 1) {
       reference = run.estimates;
     } else {
-      ExpectBitIdentical(reference, run.estimates);
+      testing::ExpectBitIdentical(reference, run.estimates);
     }
   }
 }
 
-// The batching contract: walk RNG is counter-derived per walk index, so
-// the SoA batched path (any width) produces bit-identical estimates to
-// the unbatched path, at every thread count, for both walk-sampling
-// engines. Widths bracket the default (32) and include a non-divisor of
-// the per-slot budget (the final short batch).
-TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossBatchWidths) {
+// Runs `budget` walks in calls of at most one serving quantum (256 walks),
+// so batches cut short at a call boundary are exercised too.
+template <typename Engine>
+void RunInQuanta(Engine& engine, uint64_t budget) {
+  for (uint64_t done = 0; done < budget; done += 256) {
+    engine.RunWalks(std::min<uint64_t>(256, budget - done));
+  }
+}
+
+// The batching and kernel contracts, at the engine level: walk RNG is
+// counter-derived per walk index, so the SoA batched path (any width)
+// produces bit-identical estimates to the unbatched path, and forcing a
+// lower kernel dispatch level reproduces the vectorized run bit for bit —
+// for both walk-sampling engines. Widths bracket the default (32) and
+// include a non-divisor of the quantum (the final short batch).
+TEST_F(ParallelTest, BatchWidthsAndSimdLevelsBitIdentical) {
   constexpr uint64_t kBudget = 3000;
+  const SimdLevel entry_level = CurrentSimdLevel();
   for (const OlaEngineKind engine :
        {OlaEngineKind::kAudit, OlaEngineKind::kWander}) {
     const ChainQuery query = Fig5(engine == OlaEngineKind::kAudit);
-    ParallelOlaOptions options;
-    options.workers = 4;
-    options.engine = engine;
-    options.tipping_threshold = 2.0;
     GroupedEstimates reference;
     bool have_reference = false;
-    for (const uint32_t batch : {1u, 2u, 32u, 101u}) {
-      for (const int threads : {1, 2, 8}) {
+    for (const SimdLevel level :
+         {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+      SetSimdLevel(level);  // clamped to what the CPU supports
+      for (const uint32_t batch : {1u, 2u, 32u, 101u}) {
         SCOPED_TRACE(::testing::Message()
                      << OlaEngineName(engine) << " batch=" << batch
-                     << " threads=" << threads);
-        options.threads = threads;
-        options.batch_walks = batch;
-        const ParallelOlaResult run =
-            ParallelOlaExecutor(indexes_, query, options)
-                .RunWalkBudget(kBudget);
-        EXPECT_EQ(run.estimates.walks(), kBudget);
-        if (batch > 1) {
-          EXPECT_EQ(run.counters.batched_walks, kBudget);
+                     << " simd=" << SimdLevelName(CurrentSimdLevel()));
+        GroupedEstimates estimates;
+        uint64_t batched = 0;
+        if (engine == OlaEngineKind::kAudit) {
+          AuditJoin::Options options;
+          options.seed = 17;
+          options.tipping_threshold = 2.0;
+          options.batch_walks = batch;
+          AuditJoin audit(indexes_, query, options);
+          RunInQuanta(audit, kBudget);
+          estimates = audit.estimates();
+          batched = audit.batched_walks();
         } else {
-          EXPECT_EQ(run.counters.batched_walks, 0u);
+          WanderJoin::Options options;
+          options.seed = 17;
+          options.batch_walks = batch;
+          WanderJoin wander(indexes_, query, options);
+          RunInQuanta(wander, kBudget);
+          estimates = wander.estimates();
+          batched = wander.batched_walks();
         }
+        EXPECT_EQ(estimates.walks(), kBudget);
+        EXPECT_EQ(batched, batch > 1 ? kBudget : 0u);
         if (!have_reference) {
-          reference = run.estimates;
+          reference = estimates;
           have_reference = true;
         } else {
-          ExpectBitIdentical(reference, run.estimates);
+          testing::ExpectBitIdentical(reference, estimates);
         }
       }
-    }
-  }
-}
-
-// The kernel layer is exact, not approximate: forcing the scalar dispatch
-// level must reproduce the vectorized run bit for bit (decode, seek and
-// probe kernels all sit under the walk inner loop).
-TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossSimdLevels) {
-  const ChainQuery query = Fig5(true);
-  constexpr uint64_t kBudget = 2002;
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 2;
-  options.tipping_threshold = 2.0;
-  const SimdLevel entry_level = CurrentSimdLevel();
-  GroupedEstimates reference;
-  bool have_reference = false;
-  for (const SimdLevel level :
-       {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
-    SetSimdLevel(level);  // clamped to what the CPU supports
-    const ParallelOlaResult run =
-        ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
-    if (!have_reference) {
-      reference = run.estimates;
-      have_reference = true;
-    } else {
-      ExpectBitIdentical(reference, run.estimates);
     }
   }
   SetSimdLevel(entry_level);
@@ -266,13 +270,13 @@ TEST_F(ParallelTest, AuditWorkersConvergeMerged) {
   const ChainQuery query = Fig5(true);
   const GroupedResult exact = testing::BruteForce(graph_, query);
 
-  ParallelOlaOptions options;
-  options.threads = 3;
-  options.workers = 3;
-  options.engine = OlaEngineKind::kAudit;
-  options.tipping_threshold = 2.0;  // stochastic mode
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(30000);
+  ChartJobOptions job;
+  job.walk_budget = 30000;
+  job.workers = 3;
+  job.engine = OlaEngineKind::kAudit;
+  job.tipping_threshold = 2.0;  // stochastic mode
+  const ParallelOlaResult run = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/3);
 
   EXPECT_EQ(run.estimates.walks(), 30000u);
   for (const auto& [group, count] : exact.counts) {
@@ -285,12 +289,12 @@ TEST_F(ParallelTest, WanderWorkersConvergeOnNonDistinct) {
   const ChainQuery query = Fig5(false);
   const GroupedResult exact = testing::BruteForce(graph_, query);
 
-  ParallelOlaOptions options;
-  options.threads = 2;
-  options.workers = 2;
-  options.engine = OlaEngineKind::kWander;
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(30000);
+  ChartJobOptions job;
+  job.walk_budget = 30000;
+  job.workers = 2;
+  job.engine = OlaEngineKind::kWander;
+  const ParallelOlaResult run = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/2);
   for (const auto& [group, count] : exact.counts) {
     EXPECT_NEAR(run.estimates.Estimate(group), static_cast<double>(count),
                 0.1 * static_cast<double>(count) + 0.1);
@@ -303,53 +307,51 @@ TEST_F(ParallelTest, WalkBudgetSnapshotsPublishPartials) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 20000;
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 4;
-  options.tipping_threshold = 2.0;
-  options.publish_every = 64;
-  options.snapshot_period = 1e-4;  // as fast as the loop allows
+  ServingCore::Options core_options;
+  core_options.threads = 4;
+  core_options.quantum_walks = 64;
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   int snapshots = 0;
   int finals = 0;
   uint64_t last_walks = 0;
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes_, query, options)
-          .RunWalkBudget(kBudget, [&](const OlaSnapshot& snapshot) {
-            ++snapshots;
-            ASSERT_NE(snapshot.estimates, nullptr);
-            EXPECT_GE(snapshot.walks, last_walks);
-            EXPECT_LE(snapshot.walks, kBudget);
-            EXPECT_EQ(snapshot.walks, snapshot.estimates->walks());
-            last_walks = snapshot.walks;
-            if (snapshot.final_snapshot) {
-              ++finals;
-              EXPECT_EQ(snapshot.walks, kBudget);
-            }
-          });
+  ChartJobOptions job;
+  job.walk_budget = kBudget;
+  job.workers = 4;
+  job.tipping_threshold = 2.0;
+  job.snapshot_period = 1e-4;  // as fast as the loop allows
+  job.on_snapshot = [&](const OlaSnapshot& snapshot) {
+    ++snapshots;
+    ASSERT_NE(snapshot.estimates, nullptr);
+    EXPECT_GE(snapshot.walks, last_walks);
+    EXPECT_LE(snapshot.walks, kBudget);
+    EXPECT_EQ(snapshot.walks, snapshot.estimates->walks());
+    last_walks = snapshot.walks;
+    if (snapshot.final_snapshot) {
+      ++finals;
+      EXPECT_EQ(snapshot.walks, kBudget);
+    }
+  };
+  const ParallelOlaResult run = core.Submit(query, job).Await();
   EXPECT_GE(snapshots, 1);
   EXPECT_EQ(finals, 1);
   EXPECT_EQ(run.estimates.walks(), kBudget);
 }
 
-TEST_F(ParallelTest, DeadlineModeAndLegacyWrapperWork) {
+TEST_F(ParallelTest, DeadlineModeDeliversOneFinalSnapshot) {
   const ChainQuery query = Fig5(true);
-  ParallelOlaOptions options;
-  options.threads = 2;
   int finals = 0;
-  const ParallelOlaResult run =
-      ParallelOlaExecutor(indexes_, query, options)
-          .RunForDuration(0.05, [&](const OlaSnapshot& snapshot) {
-            if (snapshot.final_snapshot) ++finals;
-          });
+  ChartJobOptions job;
+  job.deadline_seconds = 0.05;
+  job.workers = 2;
+  job.on_snapshot = [&](const OlaSnapshot& snapshot) {
+    if (snapshot.final_snapshot) ++finals;
+  };
+  const ParallelOlaResult run = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/2);
   EXPECT_GT(run.estimates.walks(), 0u);
   EXPECT_EQ(finals, 1);
   EXPECT_GE(run.elapsed_seconds, 0.05);
-
-  options.threads = 1;
-  const GroupedEstimates merged =
-      RunParallelOla(indexes_, query, options, 0.02);
-  EXPECT_GT(merged.walks(), 0u);
 }
 
 }  // namespace

@@ -170,22 +170,6 @@ class ReachConcurrentTest : public ::testing::Test {
   IndexSet indexes_;
 };
 
-void ExpectBitIdentical(const GroupedEstimates& a,
-                        const GroupedEstimates& b) {
-  EXPECT_EQ(a.walks(), b.walks());
-  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
-  const auto ea = a.Estimates();
-  const auto eb = b.Estimates();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (const auto& [group, estimate] : ea) {
-    const auto it = eb.find(group);
-    ASSERT_NE(it, eb.end());
-    EXPECT_EQ(estimate, it->second) << "group " << group;
-    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group))
-        << "group " << group;
-  }
-}
-
 // Exhaustively enumerates the plan's walks, accumulating the probability
 // mass of completed walks per (alpha, beta) pair into a reference
 // unordered_map — an independent implementation of Pr(a, b) against which
@@ -296,21 +280,21 @@ TEST_F(ReachConcurrentTest, SharedCacheBitIdenticalAcrossThreadCounts) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 4000;
 
-  ParallelOlaOptions options;
-  options.workers = 8;
-  options.tipping_threshold = 2.0;
-  ASSERT_TRUE(options.share_reach);
+  ChartJobOptions job;
+  job.walk_budget = kBudget;
+  job.workers = 8;
+  job.tipping_threshold = 2.0;
+  ASSERT_TRUE(job.share_reach);
   GroupedEstimates reference;
   for (int threads : {1, 2, 8}) {
-    options.threads = threads;
-    const ParallelOlaResult run =
-        ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
+    const ParallelOlaResult run = testing::ServeOnce(
+        GraphSnapshot::Unowned(indexes_), query, job, threads);
     EXPECT_EQ(run.estimates.walks(), kBudget);
     EXPECT_GT(run.counters.reach_entries, 0u);
     if (threads == 1) {
       reference = run.estimates;
     } else {
-      ExpectBitIdentical(reference, run.estimates);
+      testing::ExpectBitIdentical(reference, run.estimates);
     }
   }
 }
@@ -321,36 +305,41 @@ TEST_F(ReachConcurrentTest, SharedAndPrivateCachesProduceIdenticalRuns) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 3000;
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 4;
-  options.tipping_threshold = 2.0;
+  ChartJobOptions job;
+  job.walk_budget = kBudget;
+  job.workers = 4;
+  job.tipping_threshold = 2.0;
 
-  options.share_reach = true;
-  const ParallelOlaResult shared =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
-  options.share_reach = false;
-  const ParallelOlaResult isolated =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
-  ExpectBitIdentical(shared.estimates, isolated.estimates);
+  job.share_reach = true;
+  const ParallelOlaResult shared = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/4);
+  job.share_reach = false;
+  const ParallelOlaResult isolated = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/4);
+  testing::ExpectBitIdentical(shared.estimates, isolated.estimates);
 }
 
-// The executor's cache stays warm across runs: a second identical run
+// A cache handed to successive jobs stays warm: the second identical job
 // resolves every lookup from the memo (zero misses in its counter window)
-// and reproduces the first run exactly.
-TEST_F(ReachConcurrentTest, ExecutorCacheStaysWarmAcrossRuns) {
+// and reproduces the first job exactly.
+TEST_F(ReachConcurrentTest, SharedCacheStaysWarmAcrossJobs) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 2000;
 
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 2;
-  options.tipping_threshold = 2.0;
-  ParallelOlaExecutor executor(indexes_, query, options);
+  const WalkPlan plan = WalkPlan::Compile(query);
+  ReachProbability cache(indexes_, plan);
+  ChartJobOptions job;
+  job.walk_budget = kBudget;
+  job.workers = 4;
+  job.tipping_threshold = 2.0;
+  job.shared_reach = &cache;
+  ServingCore::Options core_options;
+  core_options.threads = 2;
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
-  const ParallelOlaResult cold = executor.RunWalkBudget(kBudget);
-  const ParallelOlaResult warm = executor.RunWalkBudget(kBudget);
-  ExpectBitIdentical(cold.estimates, warm.estimates);
+  const ParallelOlaResult cold = core.Submit(query, job).Await();
+  const ParallelOlaResult warm = core.Submit(query, job).Await();
+  testing::ExpectBitIdentical(cold.estimates, warm.estimates);
   EXPECT_GT(cold.counters.reach_misses, 0u);
   EXPECT_EQ(warm.counters.reach_misses, 0u);
   EXPECT_GT(warm.counters.reach_hits, 0u);
@@ -358,7 +347,7 @@ TEST_F(ReachConcurrentTest, ExecutorCacheStaysWarmAcrossRuns) {
 }
 
 // An externally owned cache (the exploration-session registry) slots into
-// both the sequential engine and the executor without changing results.
+// both the sequential engine and a serving job without changing results.
 TEST_F(ReachConcurrentTest, ExternalRegistryCacheMatchesPrivateRuns) {
   const ChainQuery query = Fig5(true);
   constexpr uint64_t kBudget = 2000;
@@ -383,19 +372,20 @@ TEST_F(ReachConcurrentTest, ExternalRegistryCacheMatchesPrivateRuns) {
   AuditJoin shared_engine(indexes_, query, aj);
   EXPECT_FALSE(shared_engine.owns_reach());
   shared_engine.RunWalks(kBudget);
-  ExpectBitIdentical(private_engine.estimates(), shared_engine.estimates());
+  testing::ExpectBitIdentical(private_engine.estimates(),
+                              shared_engine.estimates());
 
-  // Parallel executor fed the registry cache.
-  ParallelOlaOptions options;
-  options.workers = 4;
-  options.threads = 2;
-  options.tipping_threshold = 2.0;
+  // A serving job fed the registry cache.
+  ChartJobOptions job;
+  job.walk_budget = kBudget;
+  job.workers = 4;
+  job.tipping_threshold = 2.0;
   const ParallelOlaResult baseline =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
-  options.shared_reach = cache;
+      testing::ServeOnce(snapshot, query, job, /*threads=*/2);
+  job.shared_reach = cache;
   const ParallelOlaResult via_registry =
-      ParallelOlaExecutor(indexes_, query, options).RunWalkBudget(kBudget);
-  ExpectBitIdentical(baseline.estimates, via_registry.estimates);
+      testing::ServeOnce(snapshot, query, job, /*threads=*/2);
+  testing::ExpectBitIdentical(baseline.estimates, via_registry.estimates);
   EXPECT_GT(registry.stats().entries, 0u);
 }
 
@@ -436,7 +426,7 @@ TEST_F(ReachConcurrentTest, ExplorerReusesSessionReachCache) {
   EXPECT_EQ(explorer.metrics().Counter("explorer.reach.plan_hits"), 1u);
   // The second serving probes the warm session cache: hits keep growing.
   // (Walk counts are wall-clock dependent here, so memo-miss equality is
-  // asserted by the deterministic executor test above, not this one.)
+  // asserted by the deterministic serving test above, not this one.)
   EXPECT_GT(explorer.metrics().Counter("explorer.reach.hits"),
             hits_after_first);
 }

@@ -1,7 +1,8 @@
 // Tests for the persistent serving core: cancellation latency, multi-job
-// fairness, priority scheduling, session auto-cancel, and — the load-bearing
-// guarantee — walk-budget bit-identity of a job run solo vs. run alongside
-// competing jobs on pools of 1, 2, and 8 threads.
+// fairness, priority scheduling, session auto-cancel, top-K self-finish
+// under concurrency, and — the load-bearing guarantee — walk-budget
+// bit-identity of a job run solo vs. run alongside competing jobs on pools
+// of 1, 2, and 8 threads.
 //
 // Runs under TSan in tier-1 (scripts/tier1.sh): the scheduler state, the
 // per-slot publish handoff, and the callback serialization are all exercised
@@ -11,6 +12,7 @@
 #include <atomic>
 #include <cstdint>
 #include <memory>
+#include <string>
 #include <vector>
 
 #include "src/core/explorer.h"
@@ -46,22 +48,6 @@ class ServeTest : public ::testing::Test {
   IndexSet indexes_;
 };
 
-void ExpectBitIdentical(const GroupedEstimates& a,
-                        const GroupedEstimates& b) {
-  EXPECT_EQ(a.walks(), b.walks());
-  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
-  const auto ea = a.Estimates();
-  const auto eb = b.Estimates();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (const auto& [group, estimate] : ea) {
-    const auto it = eb.find(group);
-    ASSERT_NE(it, eb.end());
-    EXPECT_EQ(estimate, it->second) << "group " << group;
-    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group))
-        << "group " << group;
-  }
-}
-
 // Cancellation is observed within ONE walk quantum. The job cancels itself
 // from its own snapshot callback (which runs at a quantum boundary, right
 // after that quantum's partial was published); on a 1-thread pool nothing
@@ -71,7 +57,7 @@ TEST_F(ServeTest, CancelObservedWithinOneQuantumNoLeakedPartials) {
   ServingCore::Options core_options;
   core_options.threads = 1;
   core_options.quantum_walks = 128;
-  ServingCore core(indexes_, core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   struct Shared {
     Mutex mutex;
@@ -144,7 +130,7 @@ TEST_F(ServeTest, TwoJobsShareThePoolFairly) {
   ServingCore::Options core_options;
   core_options.threads = 1;
   core_options.quantum_walks = 256;
-  ServingCore core(indexes_, core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   constexpr uint64_t kBudget = 40 * 256;
 
@@ -193,26 +179,20 @@ TEST_F(ServeTest, WalkBudgetBitIdenticalSoloVsConcurrentAcrossPools) {
   measured.seed = 17;
   measured.tipping_threshold = 2.0;  // stochastic mode
 
-  // Reference: the synchronous executor on one thread (the pre-serving
-  // sequential-union semantics, locked in by parallel_test).
-  ParallelOlaOptions reference_options;
-  reference_options.threads = 1;
-  reference_options.workers = 4;
-  reference_options.seed = 17;
-  reference_options.tipping_threshold = 2.0;
-  const ParallelOlaResult reference =
-      ParallelOlaExecutor(indexes_, query, reference_options)
-          .RunWalkBudget(kBudget);
+  // Reference: the job alone on a fresh 1-thread core (equal to the
+  // sequential union of its slots' seeds, locked in by parallel_test).
+  const ParallelOlaResult reference = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes_), query, measured, /*threads=*/1);
   ASSERT_EQ(reference.estimates.walks(), kBudget);
 
   for (int threads : {1, 2, 8}) {
     ServingCore::Options core_options;
     core_options.threads = threads;
-    ServingCore core(indexes_, core_options);
+    ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
     // Solo.
     const ParallelOlaResult solo = core.Submit(query, measured).Await();
-    ExpectBitIdentical(reference.estimates, solo.estimates);
+    testing::ExpectBitIdentical(reference.estimates, solo.estimates);
 
     // Alongside a competing job contending for every worker.
     ChartJobOptions competing;
@@ -221,42 +201,8 @@ TEST_F(ServeTest, WalkBudgetBitIdenticalSoloVsConcurrentAcrossPools) {
     competing.seed = 99;
     ChartHandle competitor = core.Submit(query, competing);
     const ParallelOlaResult crowded = core.Submit(query, measured).Await();
-    ExpectBitIdentical(reference.estimates, crowded.estimates);
+    testing::ExpectBitIdentical(reference.estimates, crowded.estimates);
     competitor.Cancel();
-  }
-}
-
-// Batched walk execution under the serving core: a job's batch width is
-// not part of the run identity — batch_walks 1 (unbatched), the default
-// SoA width, and an oddball width all reproduce the same estimate across
-// pool sizes, interleaved with quantum-level preemption.
-TEST_F(ServeTest, WalkBudgetBitIdenticalAcrossBatchWidths) {
-  const ChainQuery query = Fig5(true);
-  constexpr uint64_t kBudget = 2002;
-  GroupedEstimates reference;
-  bool have_reference = false;
-  for (const uint32_t batch : {1u, 0u, 48u}) {  // 0 = engine default
-    for (int threads : {1, 2, 8}) {
-      SCOPED_TRACE(::testing::Message()
-                   << "batch=" << batch << " threads=" << threads);
-      ServingCore::Options core_options;
-      core_options.threads = threads;
-      ServingCore core(indexes_, core_options);
-      ChartJobOptions job;
-      job.walk_budget = kBudget;
-      job.workers = 4;
-      job.seed = 17;
-      job.tipping_threshold = 2.0;
-      job.batch_walks = batch;
-      const ParallelOlaResult run = core.Submit(query, job).Await();
-      ASSERT_EQ(run.estimates.walks(), kBudget);
-      if (!have_reference) {
-        reference = run.estimates;
-        have_reference = true;
-      } else {
-        ExpectBitIdentical(reference, run.estimates);
-      }
-    }
   }
 }
 
@@ -267,7 +213,7 @@ TEST_F(ServeTest, HigherPriorityJobPreemptsLowerPriority) {
   ServingCore::Options core_options;
   core_options.threads = 1;
   core_options.quantum_walks = 256;
-  ServingCore core(indexes_, core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   const ChainQuery query = Fig5(true);
   ChartJobOptions low;
@@ -318,7 +264,7 @@ TEST_F(ServeTest, HigherPriorityJobPreemptsLowerPriority) {
 TEST_F(ServeTest, DeadlineJobRetiresOnItsOwn) {
   ServingCore::Options core_options;
   core_options.threads = 2;
-  ServingCore core(indexes_, core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   ChartJobOptions options;
   options.walk_budget = 0;
@@ -339,7 +285,7 @@ TEST_F(ServeTest, DeadlineJobRetiresOnItsOwn) {
 TEST_F(ServeTest, RippleJobClampsToOneWorkerAndConverges) {
   ServingCore::Options core_options;
   core_options.threads = 2;
-  ServingCore core(indexes_, core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   const ChainQuery query = Fig5(false);
   const GroupedResult exact = testing::BruteForce(graph_, query);
@@ -420,7 +366,7 @@ TEST_F(ServeTest, FinishStopsJobQuicklyAndRetiresAsCompleted) {
   ServingCore::Options core_options;
   core_options.threads = 1;
   core_options.quantum_walks = 128;
-  ServingCore core(indexes_, core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   ChartJobOptions options;
   options.walk_budget = kHugeBudget;
@@ -450,7 +396,7 @@ TEST_F(ServeTest, FinishStopsJobQuicklyAndRetiresAsCompleted) {
 // tail groups, walks bound to them are pruned, the displayed chart
 // converges, and (with finish_on_displayed_convergence) the job retires
 // itself as completed long before the deadline.
-TEST(TopKServeTest, DeadlineModePrunesTailAndSelfFinishesOnConvergence) {
+Graph SkewedGraph() {
   GraphBuilder b;
   for (int i = 0; i < 400; ++i) {
     b.AddSpelled("s" + std::to_string(i), "p", "big");
@@ -461,19 +407,28 @@ TEST(TopKServeTest, DeadlineModePrunesTailAndSelfFinishesOnConvergence) {
                    "tiny" + std::to_string(t));
     }
   }
-  const Graph graph = std::move(b).Build();
-  IndexSet indexes(graph);
-  const TermId p = graph.dict().Lookup("p");
-  // One pattern, grouped by object: "big" dwarfs every "tiny" group.
+  return std::move(b).Build();
+}
+
+// One pattern, grouped by object: "big" dwarfs every "tiny" group.
+ChainQuery SkewedQuery(const Graph& graph) {
   auto q = ChainQuery::Create(
-      {MakePattern(Slot::MakeVar(0), Slot::MakeConst(p), Slot::MakeVar(1))},
+      {MakePattern(Slot::MakeVar(0), Slot::MakeConst(graph.dict().Lookup("p")),
+                   Slot::MakeVar(1))},
       1, 0, /*distinct=*/false);
-  ASSERT_TRUE(q.has_value());
+  EXPECT_TRUE(q.has_value());
+  return *q;
+}
+
+TEST(TopKServeTest, DeadlineModePrunesTailAndSelfFinishesOnConvergence) {
+  const Graph graph = SkewedGraph();
+  IndexSet indexes(graph);
+  const ChainQuery query = SkewedQuery(graph);
 
   ServingCore::Options core_options;
   core_options.threads = 2;
   core_options.quantum_walks = 256;
-  ServingCore core(indexes, core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
 
   ChartJobOptions options;
   options.walk_budget = 0;
@@ -487,7 +442,7 @@ TEST(TopKServeTest, DeadlineModePrunesTailAndSelfFinishesOnConvergence) {
 
   // Run the full deadline (no self-finish) so walks keep flowing after
   // the first top-K refresh activates the filter.
-  ChartHandle handle = core.Submit(*q, options);
+  ChartHandle handle = core.Submit(query, options);
   const ParallelOlaResult& result = handle.Await();
   EXPECT_EQ(handle.state(), ChartJobState::kDone);
   EXPECT_TRUE(result.displayed_converged);
@@ -511,13 +466,53 @@ TEST(TopKServeTest, DeadlineModePrunesTailAndSelfFinishesOnConvergence) {
   // itself far before a long deadline and retires as COMPLETED.
   options.deadline_seconds = 30.0;
   options.finish_on_displayed_convergence = true;
-  ChartHandle self = core.Submit(*q, options);
+  ChartHandle self = core.Submit(query, options);
   const ParallelOlaResult& early = self.Await();
   EXPECT_EQ(self.state(), ChartJobState::kDone);
   EXPECT_TRUE(early.displayed_converged);
   EXPECT_LT(early.elapsed_seconds, 5.0);
   EXPECT_EQ(core.stats().jobs_completed, 2u);
   EXPECT_EQ(core.stats().jobs_cancelled, 0u);
+}
+
+// Regression: a top-K self-finish requested mid-quantum leaves its job in
+// the run queue as a stale entry, and the scheduler's pick once read past
+// the end of the queue after dropping such entries. Many concurrent
+// self-finishing jobs on a multi-thread pool hit that path every round;
+// the contracts build's container bounds checks turn the read into an
+// abort.
+TEST(TopKServeTest, ConcurrentSelfFinishingJobsAllComplete) {
+  const Graph graph = SkewedGraph();
+  IndexSet indexes(graph);
+  const ChainQuery query = SkewedQuery(graph);
+
+  ServingCore::Options core_options;
+  core_options.threads = 3;
+  ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
+
+  ChartJobOptions options;
+  options.deadline_seconds = 30.0;
+  options.tipping_threshold = 2.0;
+  options.top_k.k = 1;
+  options.top_k.ci_target = 0.5;  // loose: converges within a few quanta
+  options.finish_on_displayed_convergence = true;
+  constexpr int kRounds = 20;
+  constexpr int kJobsPerRound = 4;
+  for (int round = 0; round < kRounds; ++round) {
+    std::vector<ChartHandle> handles;
+    for (int j = 0; j < kJobsPerRound; ++j) {
+      options.seed = static_cast<uint64_t>(round * kJobsPerRound + j);
+      handles.push_back(core.Submit(query, options));
+    }
+    for (const ChartHandle& handle : handles) {
+      const ParallelOlaResult result = handle.Await();
+      EXPECT_EQ(handle.state(), ChartJobState::kDone);
+      EXPECT_TRUE(result.displayed_converged);
+    }
+  }
+  EXPECT_EQ(core.stats().jobs_completed,
+            static_cast<uint64_t>(kRounds * kJobsPerRound));
+  EXPECT_EQ(core.stats().live_jobs, 0u);
 }
 
 // Budget mode keeps the bit-identity contract: enabling top-K tracking
@@ -528,7 +523,7 @@ TEST_F(ServeTest, BudgetModeTopKIsObserveOnly) {
   constexpr uint64_t kBudget = 2002;
   ServingCore::Options core_options;
   core_options.threads = 2;
-  ServingCore core(indexes_, core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   ChartJobOptions plain;
   plain.walk_budget = kBudget;
@@ -541,7 +536,7 @@ TEST_F(ServeTest, BudgetModeTopKIsObserveOnly) {
 
   const ParallelOlaResult without = core.Submit(query, plain).Await();
   const ParallelOlaResult with = core.Submit(query, tracked).Await();
-  ExpectBitIdentical(without.estimates, with.estimates);
+  testing::ExpectBitIdentical(without.estimates, with.estimates);
   EXPECT_EQ(with.counters.pruned_walks, 0u);
 }
 
@@ -550,7 +545,7 @@ TEST_F(ServeTest, BudgetModeTopKIsObserveOnly) {
 TEST_F(ServeTest, CoreDestructionCancelsLiveJobs) {
   ChartHandle orphan;
   {
-    ServingCore core(indexes_);
+    ServingCore core(GraphSnapshot::Unowned(indexes_), ServingCore::Options());
     ChartJobOptions options;
     options.walk_budget = kHugeBudget;
     options.workers = 2;

@@ -5,16 +5,15 @@
 //  * kgoa::Mutex / MutexLock / CondVar behave like the std primitives
 //    they wrap (scoped release, adopt-after-TryLock, mid-scope
 //    unlock/relock, predicate waits absorbing spurious wakeups);
-//  * ParallelOlaExecutor's lazy core construction is race-free — the
-//    annotation era surfaced that const Run* calls built the private
-//    ServingCore behind no lock, so two threads' FIRST calls could
-//    construct two pools (regression: ConcurrentExecutorRunsShareOneCore,
-//    which tier-1 also runs under TSan);
+//  * concurrent Submit calls on one ServingCore race only on the
+//    scheduler lock, and every caller still gets the budget-mode result
+//    of a solo run (ConcurrentSubmitsMatchSoloRun, which tier-1 also runs
+//    under TSan);
 //  * the documented lock ordering (DESIGN.md §11): the serving core's
 //    scheduler mutex is never held across user callbacks, and the
-//    coordinator/registry mutexes are leaves — so a snapshot callback may
-//    re-enter stats(), Snapshot(), even a whole scatter-gather
-//    Submit+Await, without deadlock (CallbackRunsOutsideSchedulerLock).
+//    reach-registry mutex is a leaf — so a snapshot callback may re-enter
+//    stats(), Snapshot(), even a whole Submit+Await on another explorer's
+//    pool, without deadlock (CallbackRunsOutsideSchedulerLock).
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -23,8 +22,8 @@
 #include <thread>
 #include <vector>
 
+#include "src/core/explorer.h"
 #include "src/ola/parallel.h"
-#include "src/shard/coordinator.h"
 #include "src/util/sync.h"
 #include "tests/test_util.h"
 
@@ -33,22 +32,6 @@ namespace {
 
 Slot V(VarId v) { return Slot::MakeVar(v); }
 Slot C(TermId t) { return Slot::MakeConst(t); }
-
-void ExpectBitIdentical(const GroupedEstimates& a,
-                        const GroupedEstimates& b) {
-  EXPECT_EQ(a.walks(), b.walks());
-  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
-  const auto ea = a.Estimates();
-  const auto eb = b.Estimates();
-  ASSERT_EQ(ea.size(), eb.size());
-  for (const auto& [group, estimate] : ea) {
-    const auto it = eb.find(group);
-    ASSERT_NE(it, eb.end());
-    EXPECT_EQ(estimate, it->second) << "group " << group;
-    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group))
-        << "group " << group;
-  }
-}
 
 // ---------------------------------------------------------------------------
 // Wrapper behavior
@@ -141,18 +124,15 @@ TEST(SyncTest, CondVarPredicateWaitAndTimeout) {
 }
 
 // ---------------------------------------------------------------------------
-// Executor lazy-core construction race (pinning regression)
+// Concurrent submitters on one core
 // ---------------------------------------------------------------------------
 
-// Before the TSA migration, ParallelOlaExecutor::Core() built the private
-// ServingCore inside a const method with no synchronization, so
-// concurrent FIRST Run* calls raced the construction (two pools, one
-// leaked/cross-freed). Core() is now guarded by core_mutex_; this test
-// drives four simultaneous first calls (under TSan in tier-1) and checks
-// the budget-mode contract still holds for every caller: each result is
-// bit-identical to a solo run with the same (query, seed, budget,
-// workers) — regardless of which thread's call constructed the pool.
-TEST(SyncTest, ConcurrentExecutorRunsShareOneCore) {
+// Four client threads submit the same budget job to one ServingCore at
+// once (under TSan in tier-1). Submission touches only the scheduler
+// lock, and the budget-mode contract holds for every caller: each result
+// is bit-identical to a solo run with the same (query, seed, budget,
+// workers), however the four jobs' quanta interleave.
+TEST(SyncTest, ConcurrentSubmitsMatchSoloRun) {
   Graph graph = testing::PaperExampleGraph();
   IndexSet indexes(graph);
   auto query = ChainQuery::Create(
@@ -163,30 +143,32 @@ TEST(SyncTest, ConcurrentExecutorRunsShareOneCore) {
       2, 1, /*distinct=*/true);
   ASSERT_TRUE(query.has_value());
 
-  ParallelOlaOptions options;
-  options.threads = 2;
-  options.workers = 4;
-  options.seed = 7;
-  constexpr uint64_t kBudget = 20000;
+  ChartJobOptions job;
+  job.walk_budget = 20000;
+  job.workers = 4;
+  job.seed = 7;
+  const ParallelOlaResult solo = testing::ServeOnce(
+      GraphSnapshot::Unowned(indexes), *query, job, /*threads=*/2);
 
-  const ParallelOlaResult solo =
-      ParallelOlaExecutor(indexes, *query, options).RunWalkBudget(kBudget);
-
-  ParallelOlaExecutor shared(indexes, *query, options);
+  ServingCore::Options core_options;
+  core_options.threads = 2;
+  ServingCore shared(GraphSnapshot::Unowned(indexes), core_options);
   constexpr int kCallers = 4;
   std::vector<ParallelOlaResult> results(kCallers);
   std::vector<std::thread> callers;  // kgoa-lint: allow(raw-thread)
   for (int t = 0; t < kCallers; ++t) {
     callers.emplace_back([&, t] {
-      results[static_cast<std::size_t>(t)] = shared.RunWalkBudget(kBudget);
+      results[static_cast<std::size_t>(t)] =
+          shared.Submit(*query, job).Await();
     });
   }
-  // kgoa-lint: allow(raw-thread) joining the concurrent first-Run clients
+  // kgoa-lint: allow(raw-thread) joining the concurrent submitters
   for (std::thread& t : callers) t.join();
 
   for (const ParallelOlaResult& result : results) {
-    ExpectBitIdentical(solo.estimates, result.estimates);
+    testing::ExpectBitIdentical(solo.estimates, result.estimates);
   }
+  EXPECT_EQ(shared.stats().jobs_completed, static_cast<uint64_t>(kCallers));
 }
 
 // ---------------------------------------------------------------------------
@@ -198,9 +180,9 @@ TEST(SyncTest, ConcurrentExecutorRunsShareOneCore) {
 //   * the serving core's scheduler mutex is NEVER held across user code —
 //     so a snapshot callback may call stats() and Snapshot() on its own
 //     core/job;
-//   * the coordinator and registry mutexes are leaves, never nested with
-//     a scheduler mutex — so a callback may even run a whole
-//     scatter-gather Submit + Await against another deployment.
+//   * the reach-registry mutex is a leaf, never nested with a scheduler
+//     mutex — so a callback may even run a whole SubmitChart + Await on
+//     a second explorer (its registry and its own pool's scheduler).
 TEST(SyncTest, CallbackRunsOutsideSchedulerLock) {
   Graph graph = testing::PaperExampleGraph();
   IndexSet indexes(graph);
@@ -212,16 +194,14 @@ TEST(SyncTest, CallbackRunsOutsideSchedulerLock) {
       2, 1, /*distinct=*/true);
   ASSERT_TRUE(query.has_value());
 
+  // A second explorer over the same graph (PaperExampleGraph interns
+  // deterministically, so the query's term ids carry over).
+  const Explorer other(testing::PaperExampleGraph());
+
   ServingCore::Options core_options;
   core_options.threads = 1;  // one worker: any held-lock re-entry deadlocks
   core_options.quantum_walks = 64;
-  ServingCore core(indexes, core_options);
-
-  ShardCoordinator::Options shard_options;
-  shard_options.num_shards = 2;
-  shard_options.threads_per_shard = 1;
-  shard_options.build_slices = false;
-  ShardCoordinator coordinator(graph, indexes, shard_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
 
   struct Shared {
     Mutex mutex;
@@ -249,17 +229,17 @@ TEST(SyncTest, CallbackRunsOutsideSchedulerLock) {
       handle = shared->handle;
     }
     EXPECT_GE(handle.Snapshot().estimates.walks(), 0u);
-    // Leaf-mutex ordering: a full scatter-gather against another
-    // deployment from inside this callback (coordinator mutex, registry
-    // mutex, two other scheduler mutexes — none nested with ours).
-    ShardChartOptions fan;
-    fan.walk_budget = 512;
-    fan.workers_per_shard = 1;
-    fan.seed = 5;
-    const ParallelOlaResult gathered =
-        coordinator.Submit(*query, fan).Await();
-    EXPECT_EQ(gathered.estimates.walks(), 512u);
-    EXPECT_GE(coordinator.stats().jobs_submitted, 1u);
+    // Leaf-mutex ordering: a full distinct-chart serve on the second
+    // explorer from inside this callback (its reach-registry mutex and
+    // another scheduler mutex — neither nested with ours).
+    ChartJobOptions nested;
+    nested.walk_budget = 512;
+    nested.workers = 2;
+    nested.seed = 5;
+    const ParallelOlaResult served =
+        other.SubmitChart(*query, nested).Await();
+    EXPECT_EQ(served.estimates.walks(), 512u);
+    EXPECT_EQ(other.serve_stats().jobs_completed, 1u);
     handle.Finish();
   };
 

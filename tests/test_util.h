@@ -1,17 +1,24 @@
 // Shared helpers for the kgoa test suite: small deterministic graphs,
-// random graph/query generation, and an independent brute-force evaluator
+// random graph/query generation, an independent brute-force evaluator
 // used as the reference implementation in cross-engine agreement and
-// unbiasedness tests.
+// unbiasedness tests, and the one-shot serving and bit-identity helpers
+// of the determinism tests.
 #ifndef KGOA_TESTS_TEST_UTIL_H_
 #define KGOA_TESTS_TEST_UTIL_H_
+
+#include <gtest/gtest.h>
 
 #include <optional>
 #include <string>
 #include <unordered_map>
 #include <unordered_set>
+#include <utility>
 #include <vector>
 
+#include "src/index/snapshot.h"
 #include "src/join/result.h"
+#include "src/ola/estimator.h"
+#include "src/ola/parallel.h"
 #include "src/query/chain_query.h"
 #include "src/rdf/graph.h"
 #include "src/rdf/vocab.h"
@@ -220,6 +227,37 @@ inline std::optional<ChainQuery> RandomChainQuery(Rng& rng,
   if (candidates.empty()) return std::nullopt;
   const auto [alpha, beta] = candidates[rng.Below(candidates.size())];
   return ChainQuery::Create(std::move(patterns), alpha, beta, distinct);
+}
+
+// Serves one chart job on a fresh `threads`-thread ServingCore over
+// `snapshot` and waits for it: the one-shot form of the serving path. A
+// budget-mode result is a pure function of (snapshot, query, seed, budget,
+// workers), so it does not depend on `threads`.
+inline ParallelOlaResult ServeOnce(GraphSnapshot snapshot,
+                                   const ChainQuery& query,
+                                   ChartJobOptions job, int threads) {
+  ServingCore::Options options;
+  options.threads = threads;
+  ServingCore core(std::move(snapshot), options);
+  return core.Submit(query, std::move(job)).Await();
+}
+
+// Same walk counts, same groups, and bit-equal estimates and CI
+// half-widths per group.
+inline void ExpectBitIdentical(const GroupedEstimates& a,
+                               const GroupedEstimates& b) {
+  EXPECT_EQ(a.walks(), b.walks());
+  EXPECT_EQ(a.rejected_walks(), b.rejected_walks());
+  const auto ea = a.Estimates();
+  const auto eb = b.Estimates();
+  ASSERT_EQ(ea.size(), eb.size());
+  for (const auto& [group, estimate] : ea) {
+    const auto it = eb.find(group);
+    ASSERT_NE(it, eb.end());
+    EXPECT_EQ(estimate, it->second) << "group " << group;
+    EXPECT_EQ(a.CiHalfWidth(group), b.CiHalfWidth(group))
+        << "group " << group;
+  }
 }
 
 }  // namespace kgoa::testing
