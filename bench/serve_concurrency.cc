@@ -4,7 +4,8 @@
 // Part 1 measures interactive convergence the way the serving core
 // delivers it: a chart job is submitted with a far-away deadline, its
 // live Snapshot() is polled until the top group's 0.95 CI half-width
-// drops below a relative target, and the job is cancelled. The measured
+// drops below a relative target, and the job is finished (a chart served
+// to its target retires as completed, not cancelled). The measured
 // time-to-target is taken once for a solo job (the whole pool to itself)
 // and once for 4 concurrent jobs time-slicing the same pool — the
 // slowdown quantifies what fair sharing costs a single chart.
@@ -58,7 +59,7 @@ bool CiTargetReached(const GroupedEstimates& estimates, double target) {
 }
 
 // Submits `jobs` identical deadline-mode jobs (distinct seeds), polls
-// their live snapshots until every one reaches the CI target, cancels
+// their live snapshots until every one reaches the CI target, finishes
 // them, and returns the slowest job's time-to-target in seconds. Walks
 // of the first job at its target time are returned through `walks`.
 double TimeToCiTarget(ServingCore& core, const ChainQuery& query,
@@ -89,7 +90,7 @@ double TimeToCiTarget(ServingCore& core, const ChainQuery& query,
     }
     std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
-  for (const ChartHandle& handle : handles) handle.Cancel();
+  for (const ChartHandle& handle : handles) handle.Finish();
   for (const ChartHandle& handle : handles) handle.Await();
   double slowest = 0;
   for (double t : reached) slowest = std::max(slowest, t);

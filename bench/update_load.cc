@@ -198,7 +198,6 @@ int main(int argc, char** argv) {
     job.walk_budget = 0;  // deadline mode
     job.deadline_seconds = give_up;
     job.workers = threads;
-    job.max_concurrency = threads;
     job.seed = 7;
     job.walk_order = kgoa::DefaultAuditOrder(query);
     job.snapshot = pinned;

@@ -1,7 +1,10 @@
 #!/usr/bin/env bash
 # Tier-1 verification. Stages, all fatal:
 #
-#  1. build + full ctest suite (warnings are errors: KGOA_WERROR=ON)
+#  1. build + full ctest suite (warnings are errors: KGOA_WERROR=ON),
+#     then build the standalone benchmark package (kgbench/, which
+#     compiles against the library's serving API) and run its metric
+#     tests
 #  2. scripts/lint.sh — -Werror rebuild, repo lint rules (incl. the
 #     raw-mutex / naked-memory-order / cv-wait-predicate concurrency
 #     rules and stale-suppression detection), clang-tidy, and the clang
@@ -42,6 +45,9 @@ echo "=== tier-1: build + ctest ==="
 cmake -B build -S . -DKGOA_WERROR=ON
 cmake --build build -j "${JOBS}"
 ctest --test-dir build --output-on-failure -j "${JOBS}"
+cmake -S kgbench -B build-kgbench -DCMAKE_BUILD_TYPE=Release
+cmake --build build-kgbench -j "${JOBS}"
+./build-kgbench/kgbench_metrics_test
 
 echo
 echo "=== tier-1: static analysis (scripts/lint.sh) ==="

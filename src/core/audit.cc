@@ -308,6 +308,24 @@ void AuditJoin::RunOneWalkInternal() {
   estimates_.EndWalk(/*rejected=*/false);
 }
 
+OlaCounters AuditJoin::counters() const {
+  OlaCounters counters;
+  counters.tipped_walks = tipped_;
+  counters.full_walks = full_;
+  counters.tip_aborts = tip_aborts_;
+  counters.ctj_cache_hits = count_cache_hits_;
+  counters.pruned_walks = pruned_;
+  counters.batched_walks = batched_walks_;
+  if (owned_reach_ != nullptr) {
+    const ShardedTableStats reach = owned_reach_->stats();
+    counters.reach_hits = reach.hits;
+    counters.reach_misses = reach.misses;
+    counters.reach_contention = reach.insert_contention;
+    counters.reach_entries = reach.entries;
+  }
+  return counters;
+}
+
 void AuditJoin::RunOneWalk() {
   RunOneWalkInternal();
   FlushContributions();

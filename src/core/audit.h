@@ -84,7 +84,8 @@ class AuditJoin {
     ReachProbability* shared_reach = nullptr;
     // Walks advanced per structure-of-arrays batch: each level's hash
     // probes and triple fetches run as a prefetch-pipelined batch across
-    // the walks. 0 = default (kDefaultWalkBatch); 1 = unbatched. Purely a
+    // the walks. 0 = default (kDefaultWalkBatch); 1 = unbatched, the
+    // reference path every batched width is checked against. Purely a
     // throughput knob: per-walk counter-derived RNG (WalkSeed) makes the
     // estimates bit-identical for every batch width.
     uint32_t batch_walks = 0;
@@ -108,12 +109,17 @@ class AuditJoin {
   uint64_t tipped_walks() const { return tipped_; }
   uint64_t full_walks() const { return full_; }
   uint64_t tip_aborts() const { return tip_aborts_; }
-  uint64_t pruned_walks() const { return pruned_; }
   // Walks executed through the structure-of-arrays batched path.
   uint64_t batched_walks() const { return batched_walks_; }
   uint64_t suffix_cache_hits() const { return count_cache_hits_; }
-  const ReachProbability& reach() const { return *reach_; }
   bool owns_reach() const { return owned_reach_ != nullptr; }
+
+  // The counters above, plus walks cut short by a top-K filter, as one
+  // OlaCounters. Reach stats come only from an owned cache: a shared cache
+  // is reported once by its owner (the serving job or the session
+  // registry), so merging the counters of the engines that share it
+  // cannot multiply it.
+  OlaCounters counters() const;
 
   // Installs (nullptr: clears) a top-K group filter. Walks whose group-by
   // value is bound to a pruned group end immediately with a zero
@@ -121,7 +127,9 @@ class AuditJoin {
   // when the group component is the first free trie level of the
   // recording step's access path (block-max hops in the block tier).
   // Estimates for pruned groups decay — callers only enable this when
-  // those groups can no longer enter the displayed chart.
+  // those groups can no longer enter the displayed chart: the serving
+  // core installs the TopKTracker's filter here for deadline-mode top-K
+  // jobs (src/ola/topk.h).
   void SetGroupFilter(std::shared_ptr<const GroupFilter> filter) {
     group_filter_ = std::move(filter);
   }

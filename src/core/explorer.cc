@@ -58,19 +58,6 @@ void SortBars(Chart& chart) {
             });
 }
 
-// Metric prefix per engine kind ("aj.walks", "wj.walks", "rj.walks").
-const char* EngineMetricPrefix(OlaEngineKind engine) {
-  switch (engine) {
-    case OlaEngineKind::kAudit:
-      return "aj.";
-    case OlaEngineKind::kWander:
-      return "wj.";
-    case OlaEngineKind::kRipple:
-      return "rj.";
-  }
-  return "ola.";
-}
-
 }  // namespace
 
 Chart Explorer::ChartFromEstimates(const GroupedEstimates& estimates,
@@ -130,15 +117,12 @@ Chart Explorer::ApproximateChartParallel(const ChainQuery& query,
                                          double seconds, BarKind kind,
                                          ChartJobOptions options) const {
   options.deadline_seconds = seconds;
-  const OlaEngineKind engine = options.engine;
   const ParallelOlaResult run = SubmitChart(query, std::move(options)).Await();
 
-  const char* prefix = EngineMetricPrefix(engine);
-  ExportMetrics(run.counters, prefix, &metrics_);
-  if (engine == OlaEngineKind::kAudit) ExportReachMetrics();
-  metrics_.Add(std::string(prefix) + "walks", run.estimates.walks());
-  metrics_.Add(std::string(prefix) + "rejected_walks",
-               run.estimates.rejected_walks());
+  ExportMetrics(run.counters, "aj.", &metrics_);
+  ExportReachMetrics();
+  metrics_.Add("aj.walks", run.estimates.walks());
+  metrics_.Add("aj.rejected_walks", run.estimates.rejected_walks());
   metrics_.Add("explorer.charts", 1);
   metrics_.SetGauge("explorer.last_chart_seconds", run.elapsed_seconds);
   metrics_.SetGauge("explorer.last_chart_walks_per_second",
@@ -163,21 +147,17 @@ ChartHandle Explorer::SubmitChart(const ChainQuery& query,
   // Pin the CURRENT version at submit (not the core's construction-time
   // default, which a long-lived explorer outgrows write by write).
   if (!options.snapshot.valid()) options.snapshot = mutable_graph_.snapshot();
-  if (options.engine == OlaEngineKind::kAudit) {
-    if (options.walk_order.empty()) {
-      options.walk_order = DefaultAuditOrder(query);
-    }
-    // Serve distinct jobs against the explorer's warm reach caches so
-    // concurrent and repeated jobs on the same (epoch, query, walk order)
-    // share audits instead of redoing them per job.
-    if (query.distinct() && options.shared_reach == nullptr &&
-        options.share_reach) {
-      AcquiredReach acquired = reach_caches_.Acquire(query, options.walk_order,
-                                                     options.snapshot);
-      options.share_reach = false;
-      options.shared_reach = acquired.reach;
-      options.reach_keepalive = std::move(acquired.keepalive);
-    }
+  if (options.walk_order.empty()) {
+    options.walk_order = DefaultAuditOrder(query);
+  }
+  // Serve distinct jobs against the explorer's warm reach caches so
+  // concurrent and repeated jobs on the same (epoch, query, walk order)
+  // share audits instead of redoing them per job.
+  if (query.distinct() && options.shared_reach == nullptr) {
+    AcquiredReach acquired = reach_caches_.Acquire(query, options.walk_order,
+                                                   options.snapshot);
+    options.shared_reach = acquired.reach;
+    options.reach_keepalive = std::move(acquired.keepalive);
   }
   ChartHandle handle = Core().Submit(query, std::move(options));
   metrics_.Add("explorer.jobs_submitted", 1);

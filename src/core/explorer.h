@@ -124,8 +124,8 @@ class Explorer {
 
   // Async serving: enqueue a chart job on the shared worker pool and
   // return immediately. The handle exposes Snapshot() / Cancel() /
-  // Await(); convert a result with ChartFromEstimates. Audit-distinct
-  // jobs are automatically wired to this explorer's warm reach caches, so
+  // Await(); convert a result with ChartFromEstimates. Distinct jobs
+  // are automatically wired to this explorer's warm reach caches, so
   // concurrent and repeated jobs on the same (query, walk order) share
   // audits. Thread-compatible with other const serving calls on this
   // explorer from the same thread; the returned handle itself is usable

@@ -11,7 +11,6 @@
 #include "src/index/block_codec.h"
 #include "src/index/index_set.h"
 #include "src/index/kernels.h"
-#include "src/ola/wander.h"
 #include "src/util/simd.h"
 
 namespace kgoa {
@@ -111,31 +110,7 @@ void ExportMetrics(const AuditJoin& engine, std::string_view prefix,
   const std::string p(prefix);
   registry->Add(p + "walks", engine.estimates().walks());
   registry->Add(p + "rejected_walks", engine.estimates().rejected_walks());
-  registry->Add(p + "tipped_walks", engine.tipped_walks());
-  registry->Add(p + "full_walks", engine.full_walks());
-  registry->Add(p + "tip_aborts", engine.tip_aborts());
-  registry->Add(p + "ctj_cache_hits", engine.suffix_cache_hits());
-  registry->Add(p + "batched_walks", engine.batched_walks());
-  if (engine.owns_reach()) {
-    // A shared cache is exported once by its owner (serving job or
-    // session registry), not per engine.
-    const ShardedTableStats reach = engine.reach().stats();
-    registry->Add(p + "reach_hits", reach.hits);
-    registry->Add(p + "reach_misses", reach.misses);
-    registry->Add(p + "reach_contention", reach.insert_contention);
-    registry->SetCounter(p + "reach_entries", reach.entries);
-  }
-}
-
-void ExportMetrics(const WanderJoin& engine, std::string_view prefix,
-                   MetricsRegistry* registry) {
-  const std::string p(prefix);
-  registry->Add(p + "walks", engine.estimates().walks());
-  registry->Add(p + "rejected_walks", engine.estimates().rejected_walks());
-  registry->Add(p + "full_walks", engine.estimates().walks() -
-                                      engine.estimates().rejected_walks());
-  registry->Add(p + "duplicate_walks", engine.duplicate_walks());
-  registry->Add(p + "batched_walks", engine.batched_walks());
+  ExportMetrics(engine.counters(), prefix, registry);
 }
 
 void ExportMetrics(const OlaCounters& counters, std::string_view prefix,

@@ -26,7 +26,6 @@ namespace kgoa {
 class AuditJoin;
 class IndexSet;
 class MutableGraph;
-class WanderJoin;
 
 class MetricsRegistry {
  public:
@@ -53,10 +52,9 @@ class MetricsRegistry {
   std::map<std::string, double, std::less<>> gauges_;
 };
 
-// Engine exports. `prefix` is prepended verbatim ("aj.", "wj.", ...).
+// Engine exports. `prefix` is prepended verbatim ("aj.", ...). The
+// AuditJoin form adds the walk counts to AuditJoin::counters().
 void ExportMetrics(const AuditJoin& engine, std::string_view prefix,
-                   MetricsRegistry* registry);
-void ExportMetrics(const WanderJoin& engine, std::string_view prefix,
                    MetricsRegistry* registry);
 void ExportMetrics(const OlaCounters& counters, std::string_view prefix,
                    MetricsRegistry* registry);

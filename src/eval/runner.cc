@@ -56,22 +56,11 @@ OlaRunResult RunOla(const IndexSet& indexes, const ChainQuery& query,
     }
   };
   auto counters = [&]() {
+    if (audit) return audit->counters();
     OlaCounters c;
-    if (audit) {
-      c.tipped_walks = audit->tipped_walks();
-      c.full_walks = audit->full_walks();
-      c.tip_aborts = audit->tip_aborts();
-      c.ctj_cache_hits = audit->suffix_cache_hits();
-      const ShardedTableStats reach = audit->reach().stats();
-      c.reach_hits = reach.hits;
-      c.reach_misses = reach.misses;
-      c.reach_contention = reach.insert_contention;
-      c.reach_entries = reach.entries;
-    } else {
-      c.full_walks =
-          wander->estimates().walks() - wander->estimates().rejected_walks();
-      c.duplicate_walks = wander->duplicate_walks();
-    }
+    c.full_walks =
+        wander->estimates().walks() - wander->estimates().rejected_walks();
+    c.duplicate_walks = wander->duplicate_walks();
     return c;
   };
 

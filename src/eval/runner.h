@@ -13,7 +13,7 @@
 
 #include "src/index/index_set.h"
 #include "src/join/result.h"
-#include "src/ola/parallel.h"
+#include "src/ola/estimator.h"
 #include "src/query/chain_query.h"
 
 namespace kgoa {

@@ -71,6 +71,47 @@ class GroupedEstimates {
   uint64_t rejected_ = 0;
 };
 
+// Per-engine work counters, merged across workers. Counters an engine does
+// not track stay zero (e.g. tipping counters under Wander Join).
+//
+// The reach_* counters describe the reach-probability cache of the
+// distinct estimator. With a shared cache they are filled once per job by
+// the serving core (as this job's delta over the cache's atomic shard
+// counters) rather than per worker; they are exact totals but
+// scheduling-dependent — see src/core/reach.h — so they are excluded from
+// the walk-budget determinism contract.
+struct OlaCounters {
+  uint64_t tipped_walks = 0;     // Audit Join: walks finished by tipping
+  uint64_t full_walks = 0;       // walks sampled to completion
+  uint64_t tip_aborts = 0;       // Audit Join: enumeration-cap aborts
+  uint64_t ctj_cache_hits = 0;   // Audit Join: suffix-count memo hits
+  uint64_t duplicate_walks = 0;  // Wander Join distinct mode
+  uint64_t pruned_walks = 0;     // walks cut short by the top-K filter
+  uint64_t batched_walks = 0;    // walks run through the SoA batched path
+  uint64_t reach_hits = 0;       // reach cache: memoized lookups served
+  uint64_t reach_misses = 0;     // reach cache: entries computed
+  uint64_t reach_contention = 0;  // reach cache: contended shard inserts
+  uint64_t reach_entries = 0;     // reach cache: resident entries (gauge)
+
+  void Merge(const OlaCounters& other) {
+    tipped_walks += other.tipped_walks;
+    full_walks += other.full_walks;
+    tip_aborts += other.tip_aborts;
+    ctj_cache_hits += other.ctj_cache_hits;
+    duplicate_walks += other.duplicate_walks;
+    pruned_walks += other.pruned_walks;
+    batched_walks += other.batched_walks;
+    reach_hits += other.reach_hits;
+    reach_misses += other.reach_misses;
+    reach_contention += other.reach_contention;
+    // A gauge, not a rate: max keeps the merged value meaningful whether
+    // the workers shared one cache or owned private ones.
+    reach_entries = reach_entries > other.reach_entries
+                        ? reach_entries
+                        : other.reach_entries;
+  }
+};
+
 }  // namespace kgoa
 
 #endif  // KGOA_OLA_ESTIMATOR_H_

@@ -8,6 +8,7 @@
 #include <thread>
 #include <utility>
 
+#include "src/core/audit.h"
 #include "src/core/reach.h"
 #include "src/ola/walk_plan.h"
 #include "src/util/contract.h"
@@ -55,16 +56,6 @@ OlaSnapshot FinalSnapshot(const ParallelOlaResult& result) {
 // cadence lets pruning kick in early without re-merging every quantum.
 constexpr double kTopKRefreshPeriod = 0.01;
 
-TopKOptions EffectiveTopK(const ChartJobOptions& options) {
-  TopKOptions topk = options.top_k;
-  // Pruning changes which walks complete; a budget-mode estimate must
-  // stay a pure function of (query, seed, budget, workers), so the
-  // tracker runs observe-only there (bounds and convergence signal, no
-  // filter).
-  if (options.walk_budget > 0) topk.prune = false;
-  return topk;
-}
-
 }  // namespace
 
 const char* ChartJobStateName(ChartJobState state) {
@@ -92,16 +83,12 @@ const char* ChartJobStateName(ChartJobState state) {
 // It is only ever held for O(live jobs) bookkeeping — never across a walk
 // quantum, a final merge, or a user callback.
 struct ServingCore::State {
-  explicit State(Options opts) : options(opts) {}
-
-  const Options options;
-
   Mutex mutex;
   CondVar cv;  // signalled on new work and on shutdown
   bool stopping KGOA_GUARDED_BY(mutex) = false;
   // Jobs with at least one slot a worker could pick up right now. A job is
-  // re-pushed to the back after every quantum, so equal-priority jobs
-  // share the pool round-robin.
+  // re-pushed to the back after every quantum, so live jobs share the pool
+  // round-robin.
   std::deque<std::shared_ptr<ChartJob>> queue KGOA_GUARDED_BY(mutex);
   // Every unretired job (queued, running, or fully checked out).
   std::vector<std::shared_ptr<ChartJob>> live KGOA_GUARDED_BY(mutex);
@@ -179,7 +166,7 @@ class ChartJob {
     uint64_t done = 0;
     bool checked_out = false;
     bool exhausted = false;
-    std::unique_ptr<OlaEngine> engine;  // built on first quantum
+    std::unique_ptr<AuditJoin> engine;  // built on first quantum
     // Published partials for live snapshots, refreshed every quantum.
     Mutex publish_mutex;
     GroupedEstimates partial KGOA_GUARDED_BY(publish_mutex);
@@ -194,26 +181,20 @@ class ChartJob {
         query(chart_query),
         options(std::move(job_options)),
         budget_mode(options.walk_budget > 0),
-        quantum(std::max<uint64_t>(1, core->options.quantum_walks)),
-        topk(EffectiveTopK(options)) {
+        // Pruning changes which walks complete; a budget-mode estimate
+        // must stay a pure function of (query, seed, budget, workers), so
+        // the tracker runs observe-only there (bounds and convergence
+        // signal, no filter).
+        topk(options.top_k, /*prune=*/!budget_mode) {
     KGOA_CHECK(options.snapshot.valid());
-    engine_template.kind = options.engine;
-    engine_template.walk_order = options.walk_order;
-    engine_template.tipping_threshold = options.tipping_threshold;
+    const int workers = std::max(1, options.workers);
 
-    // Non-mergeable engines (Ripple) run on exactly one logical worker:
-    // their partials cannot be folded across independently seeded
-    // instances (src/ola/engine.h).
-    const bool mergeable = OlaEngineKindMergeable(options.engine);
-    int workers = std::max(1, options.workers);
-    if (!mergeable) workers = 1;
-
-    // Only the audit engine's distinct estimator audits reach
-    // probabilities; everything else runs cache-less.
-    if (options.engine == OlaEngineKind::kAudit && query.distinct()) {
+    // Only the distinct estimator audits reach probabilities; every slot
+    // shares the caller's cache, or else one built for this job.
+    if (query.distinct()) {
       if (options.shared_reach != nullptr) {
         shared_reach = options.shared_reach;
-      } else if (options.share_reach) {
+      } else {
         owned_plan = std::make_unique<WalkPlan>(
             WalkPlan::Compile(query, options.walk_order));
         owned_reach = std::make_unique<ReachProbability>(
@@ -248,13 +229,6 @@ class ChartJob {
                      SecondsToDuration(kTopKRefreshPeriod);
   }
 
-  int ConcurrencyCap() const {
-    const int n = static_cast<int>(slots.size());
-    return options.max_concurrency > 0
-               ? std::min(options.max_concurrency, n)
-               : n;
-  }
-
   std::shared_ptr<ServingCore::State> core;
   const ChainQuery query;
   // Fixed at submit, except on_snapshot: FinalizeJob clears the closure
@@ -267,8 +241,6 @@ class ChartJob {
   // mid-run never invalidates anything this job touches.
   ChartJobOptions options;
   const bool budget_mode;
-  const uint64_t quantum;
-  OlaEngineOptions engine_template;  // per-slot seed filled at checkout
 
   uint64_t id = 0;  // assigned under the core mutex at submit
   SteadyClock::time_point deadline{};
@@ -338,7 +310,6 @@ bool HasAvailableSlot(const ServingCore::State& state, const ChartJob& job)
   (void)state;
   if (job.cancel_requested.load(std::memory_order_relaxed)) return false;
   if (job.finish_requested.load(std::memory_order_relaxed)) return false;
-  if (job.checked_out >= job.ConcurrencyCap()) return false;
   for (const ChartJob::Slot& slot : job.slots) {
     if (!slot.exhausted && !slot.checked_out) return true;
   }
@@ -428,16 +399,17 @@ uint64_t RunQuantum(ChartJob& job, int slot_index) {
   if (!job.budget_mode && SteadyClock::now() >= job.deadline) return 0;
 
   if (slot.engine == nullptr) {
-    OlaEngineOptions engine_options = job.engine_template;
+    AuditJoin::Options engine_options;
     engine_options.seed =
         job.options.seed + static_cast<uint64_t>(slot_index);
+    engine_options.walk_order = job.options.walk_order;
+    engine_options.tipping_threshold = job.options.tipping_threshold;
     engine_options.shared_reach = job.shared_reach;
-    slot.engine =
-        MakeOlaEngine(job.options.snapshot.indexes(), job.query,
-                      engine_options);
+    slot.engine = std::make_unique<AuditJoin>(
+        job.options.snapshot.indexes(), job.query, engine_options);
   }
 
-  uint64_t walks = job.quantum;
+  uint64_t walks = ServingCore::kQuantumWalks;
   if (job.budget_mode) {
     KGOA_DCHECK(slot.done < slot.share);
     walks = std::min(walks, slot.share - slot.done);
@@ -454,8 +426,7 @@ uint64_t RunQuantum(ChartJob& job, int slot_index) {
   // The copy reads only slot-private engine state; only the handoff into
   // the publish slot needs the lock.
   GroupedEstimates partial = slot.engine->estimates();
-  OlaCounters counters;
-  slot.engine->FillCounters(&counters);
+  const OlaCounters counters = slot.engine->counters();
   {
     MutexLock lock(slot.publish_mutex);
     slot.partial = std::move(partial);
@@ -474,8 +445,6 @@ uint64_t RunQuantum(ChartJob& job, int slot_index) {
 void FinalizeJob(ChartJob& job, bool cancelled)
     KGOA_EXCLUDES(job.core->mutex) {
   ParallelOlaResult result;
-  result.workers = static_cast<int>(job.slots.size());
-  bool mergeable = true;
   // Ordered merge over logical slots, straight from the slot engines: the
   // double summation happens in the same order no matter how quanta were
   // interleaved with other jobs or scheduled onto threads, so the result
@@ -484,13 +453,12 @@ void FinalizeJob(ChartJob& job, bool cancelled)
   for (ChartJob::Slot& slot : job.slots) {
     if (slot.engine == nullptr) continue;
     result.estimates.Merge(slot.engine->estimates());
-    slot.engine->FillCounters(&result.counters);
-    mergeable = mergeable && slot.engine->mergeable();
+    result.counters.Merge(slot.engine->counters());
   }
   job.reach_window.AddDelta(result.counters);
   result.elapsed_seconds = job.clock.ElapsedSeconds();
   result.displayed_converged = job.topk.displayed_converged();
-  if (job.budget_mode && !cancelled && mergeable &&
+  if (job.budget_mode && !cancelled &&
       !job.finish_requested.load(std::memory_order_acquire)) {
     // Walk-budget determinism: every slot ran exactly its share, so the
     // merged walk count must equal the requested budget regardless of how
@@ -553,9 +521,9 @@ bool RetireJobLocked(ServingCore::State& state,
   return cancelled;
 }
 
-// Picks the next (job, slot) to run: highest priority first, round-robin
-// among equals (jobs are re-pushed to the back after each pick). Returns
-// false when no work is available.
+// Picks the next (job, slot) to run: the front of the queue, so jobs share
+// the pool round-robin (each is re-pushed to the back after its pick).
+// Returns false when no work is available.
 bool PickWork(ServingCore::State& state, std::shared_ptr<ChartJob>* out_job,
               int* out_slot) KGOA_REQUIRES(state.mutex) {
   // Drop stale entries first (fully checked out, exhausted, or stopped
@@ -571,15 +539,7 @@ bool PickWork(ServingCore::State& state, std::shared_ptr<ChartJob>* out_job,
     }
   }
   if (state.queue.empty()) return false;
-  // Then the FIRST entry of the highest priority, which keeps equal
-  // priorities round-robin.
-  const auto pick = std::max_element(
-      state.queue.begin(), state.queue.end(),
-      [](const std::shared_ptr<ChartJob>& a,
-         const std::shared_ptr<ChartJob>& b) {
-        return a->options.priority < b->options.priority;
-      });
-  std::shared_ptr<ChartJob> job = *pick;
+  std::shared_ptr<ChartJob> job = state.queue.front();
   const int slot = FirstAvailableSlot(state, *job);
   KGOA_DCHECK(slot >= 0);
   job->slots[static_cast<std::size_t>(slot)].checked_out = true;
@@ -588,7 +548,7 @@ bool PickWork(ServingCore::State& state, std::shared_ptr<ChartJob>* out_job,
                    std::memory_order_release);
   // Rotate: whatever happens to this job, it goes to the back (or out) of
   // the queue, so its peers get the next slices.
-  state.queue.erase(pick);
+  state.queue.pop_front();
   if (HasAvailableSlot(state, *job)) {
     state.queue.push_back(job);
   } else {
@@ -599,15 +559,33 @@ bool PickWork(ServingCore::State& state, std::shared_ptr<ChartJob>* out_job,
   return true;
 }
 
-// Returns a slot after a quantum: updates progress, exhausts finished
-// slots, and either claims the retirement or re-queues the job. When the
-// return value's `finalize` is set, the caller must release the core
-// mutex and run FinalizeJob(job, .cancelled).
+// When `finalize` is set, the caller must release the core mutex and run
+// FinalizeJob(job, cancelled).
 struct RetireAction {
   bool finalize = false;
   bool cancelled = false;
 };
 
+void ExhaustSlot(const ServingCore::State& state, ChartJob& job,
+                 ChartJob::Slot& slot) KGOA_REQUIRES(state.mutex) {
+  (void)state;
+  if (!slot.exhausted) {
+    slot.exhausted = true;
+    --job.active_slots;
+  }
+}
+
+// A stop token was observed: everything not currently running stops now;
+// running slots stop as their quanta return.
+void ExhaustIdleSlots(const ServingCore::State& state, ChartJob& job)
+    KGOA_REQUIRES(state.mutex) {
+  for (ChartJob::Slot& slot : job.slots) {
+    if (!slot.checked_out) ExhaustSlot(state, job, slot);
+  }
+}
+
+// Returns a slot after a quantum: updates progress, exhausts finished
+// slots, and either claims the retirement or re-queues the job.
 RetireAction ReturnSlot(ServingCore::State& state,
                         const std::shared_ptr<ChartJob>& job, int slot_index,
                         uint64_t ran) KGOA_REQUIRES(state.mutex) {
@@ -616,27 +594,17 @@ RetireAction ReturnSlot(ServingCore::State& state,
   --job->checked_out;
   slot.done += ran;
 
-  auto exhaust = [&](ChartJob::Slot& s) {
-    if (!s.exhausted) {
-      s.exhausted = true;
-      --job->active_slots;
-    }
-  };
   if (job->cancel_requested.load(std::memory_order_relaxed) ||
       job->finish_requested.load(std::memory_order_relaxed)) {
-    // A stop token was observed: everything not currently running stops
-    // now; running slots stop as their quanta return. (RetireJobLocked
-    // decides completed-vs-cancelled from the cancel token alone, so a
-    // finish retires as completed.)
-    for (ChartJob::Slot& s : job->slots) {
-      if (!s.checked_out) exhaust(s);
-    }
+    // RetireJobLocked decides completed-vs-cancelled from the cancel token
+    // alone, so a finish retires as completed.
+    ExhaustIdleSlots(state, *job);
   } else if (job->budget_mode) {
-    if (slot.done >= slot.share) exhaust(slot);
+    if (slot.done >= slot.share) ExhaustSlot(state, *job, slot);
   } else if (ran == 0) {
     // Deadline passed: this slot is done; its siblings notice on their own
     // next quantum.
-    exhaust(slot);
+    ExhaustSlot(state, *job, slot);
   }
 
   RetireAction action;
@@ -652,6 +620,54 @@ RetireAction ReturnSlot(ServingCore::State& state,
     state.cv.NotifyAll();
   }
   return action;
+}
+
+enum class StopToken { kCancel, kFinish };
+
+// The one stop routine behind Cancel(), Finish() and core teardown: sets
+// `token`, takes the job off the queue, exhausts its idle slots and, when
+// none of its slots is checked out, claims the retirement inline (the pool
+// never even has to wake up). Otherwise the workers holding its slots
+// observe the token within one quantum and the last one to return retires
+// it. A no-op on a job whose retirement is already claimed.
+RetireAction StopJobLocked(ServingCore::State& state,
+                           const std::shared_ptr<ChartJob>& job,
+                           StopToken token) KGOA_REQUIRES(state.mutex) {
+  RetireAction action;
+  if (job->retire_claimed) return action;
+  if (token == StopToken::kCancel) {
+    if (!job->cancel_requested.exchange(true, std::memory_order_acq_rel)) {
+      job->cancel_time = SteadyClock::now();
+    }
+  } else {
+    // No cancel token: RetireJobLocked classifies by cancel_requested, so
+    // the job counts as completed and keeps its partials as the result.
+    job->finish_requested.store(true, std::memory_order_release);
+  }
+  if (job->in_queue) {
+    job->in_queue = false;
+    state.queue.erase(
+        std::remove(state.queue.begin(), state.queue.end(), job),
+        state.queue.end());
+  }
+  ExhaustIdleSlots(state, *job);
+  if (job->checked_out == 0) {
+    job->retire_claimed = true;
+    action.finalize = true;
+    action.cancelled = RetireJobLocked(state, job);
+  }
+  return action;
+}
+
+void StopJob(const std::shared_ptr<ChartJob>& job, StopToken token) {
+  const std::shared_ptr<ServingCore::State> shared_state = job->core;
+  ServingCore::State& state = *shared_state;
+  RetireAction action;
+  {
+    MutexLock lock(state.mutex);
+    action = StopJobLocked(state, job, token);
+  }
+  if (action.finalize) FinalizeJob(*job, action.cancelled);
 }
 
 }  // namespace
@@ -681,7 +697,6 @@ ParallelOlaResult ChartHandle::Snapshot() const {
     return job_->result;
   }
   ParallelOlaResult live;
-  live.workers = static_cast<int>(job_->slots.size());
   GroupedEstimates merged;
   const OlaSnapshot snapshot = MergeJobSnapshot(*job_, &merged);
   live.estimates = std::move(merged);
@@ -693,74 +708,12 @@ ParallelOlaResult ChartHandle::Snapshot() const {
 
 void ChartHandle::Cancel() const {
   KGOA_CHECK(job_ != nullptr);
-  const std::shared_ptr<ServingCore::State> shared_state = job_->core;
-  ServingCore::State& state = *shared_state;
-  bool finalize = false;
-  bool cancelled = false;
-  {
-    MutexLock lock(state.mutex);
-    if (JobFinished(*job_) || job_->retire_claimed) return;
-    if (!job_->cancel_requested.exchange(true,
-                                         std::memory_order_acq_rel)) {
-      job_->cancel_time = SteadyClock::now();
-    }
-    if (job_->in_queue) {
-      job_->in_queue = false;
-      state.queue.erase(std::remove(state.queue.begin(), state.queue.end(),
-                                    job_),
-                        state.queue.end());
-    }
-    for (ChartJob::Slot& slot : job_->slots) {
-      if (!slot.checked_out && !slot.exhausted) {
-        slot.exhausted = true;
-        --job_->active_slots;
-      }
-    }
-    if (job_->checked_out == 0) {
-      // Nothing of this job is running: retire it inline; the pool never
-      // even has to wake up. Otherwise the workers holding its slots
-      // observe the token within one quantum and the last one to return
-      // retires it.
-      job_->retire_claimed = true;
-      finalize = true;
-      cancelled = RetireJobLocked(state, job_);
-    }
-  }
-  if (finalize) FinalizeJob(*job_, cancelled);
+  StopJob(job_, StopToken::kCancel);
 }
 
 void ChartHandle::Finish() const {
   KGOA_CHECK(job_ != nullptr);
-  const std::shared_ptr<ServingCore::State> shared_state = job_->core;
-  ServingCore::State& state = *shared_state;
-  bool finalize = false;
-  bool cancelled = false;
-  {
-    MutexLock lock(state.mutex);
-    if (JobFinished(*job_) || job_->retire_claimed) return;
-    // Same stopping mechanics as Cancel(), without the cancel token:
-    // RetireJobLocked classifies by cancel_requested, so the job counts
-    // as completed and keeps its partials as the final result.
-    job_->finish_requested.store(true, std::memory_order_release);
-    if (job_->in_queue) {
-      job_->in_queue = false;
-      state.queue.erase(std::remove(state.queue.begin(), state.queue.end(),
-                                    job_),
-                        state.queue.end());
-    }
-    for (ChartJob::Slot& slot : job_->slots) {
-      if (!slot.checked_out && !slot.exhausted) {
-        slot.exhausted = true;
-        --job_->active_slots;
-      }
-    }
-    if (job_->checked_out == 0) {
-      job_->retire_claimed = true;
-      finalize = true;
-      cancelled = RetireJobLocked(state, job_);
-    }
-  }
-  if (finalize) FinalizeJob(*job_, cancelled);
+  StopJob(job_, StopToken::kFinish);
 }
 
 ParallelOlaResult ChartHandle::Await() const {
@@ -779,8 +732,7 @@ ServingCore::ServingCore(GraphSnapshot snapshot, Options options)
     : default_snapshot_(std::move(snapshot)), options_(options) {
   KGOA_CHECK(default_snapshot_.valid());
   KGOA_CHECK(options_.threads >= 1);
-  KGOA_CHECK(options_.quantum_walks >= 1);
-  state_ = std::make_shared<State>(options_);
+  state_ = std::make_shared<State>();
   // The one place in the repo that constructs OS threads (lint rule
   // raw-thread): the pool outlives every chart served through it.
   pool_.reserve(static_cast<std::size_t>(options_.threads));
@@ -808,22 +760,14 @@ ServingCore::~ServingCore() {
     MutexLock lock(state.mutex);
     while (!state.live.empty()) {
       std::shared_ptr<ChartJob> job = state.live.back();
-      if (!job->cancel_requested.exchange(true,
-                                          std::memory_order_acq_rel)) {
-        job->cancel_time = SteadyClock::now();
-      }
-      job->in_queue = false;
-      for (ChartJob::Slot& slot : job->slots) {
-        if (!slot.exhausted) {
-          slot.exhausted = true;
-          --job->active_slots;
-        }
-      }
-      KGOA_CHECK(!job->retire_claimed);
-      job->retire_claimed = true;
-      RetireJobLocked(state, job);
+      // Live jobs are unclaimed and nothing is checked out, so the stop
+      // always claims the retirement (and drops the job from `live`).
+      const RetireAction action =
+          StopJobLocked(state, job, StopToken::kCancel);
+      KGOA_CHECK(action.finalize);
       to_finalize.push_back(std::move(job));
     }
+    // Stale entries of jobs that retired since they were queued.
     state.queue.clear();
   }
   for (const std::shared_ptr<ChartJob>& job : to_finalize) {

@@ -1,13 +1,18 @@
 // Persistent serving core for parallel online aggregation.
 //
 // The OLA literature the paper surveys (section II) includes parallel and
-// distributed variants (PF-OLA, online aggregation for MapReduce). Both
-// Wander Join and Audit Join parallelize embarrassingly: walks are i.i.d.,
-// the indexes are immutable, and every engine-local cache (CTJ suffix
-// counts, reach probabilities) is private to its worker — so independent
-// workers with distinct seeds can simply merge their accumulators
-// (GroupedEstimates::Merge) and the combined estimator is the same as one
-// sequential run with the union of the walks.
+// distributed variants (PF-OLA, online aggregation for MapReduce). Audit
+// Join parallelizes embarrassingly: walks are i.i.d., the indexes are
+// immutable, and every engine-local cache (CTJ suffix counts) is private
+// to its worker while the shared reach-probability memos are value-pure —
+// so independent workers with distinct seeds can simply merge their
+// accumulators (GroupedEstimates::Merge) and the combined estimator is the
+// same as one sequential run with the union of the walks.
+//
+// Every job runs Audit Join, the paper's serving estimator (Fig. 1,
+// section IV-D). Wander Join and Ripple Join are the paper's offline
+// baselines; their callers (RunOla, the figure benches) build them
+// directly.
 //
 // Interactive exploration adds a second dimension: a user clicks a bar,
 // watches the chart converge, and clicks again — often before the previous
@@ -22,9 +27,9 @@
 //  * ChartJob / ChartHandle — a submitted chart query. Each job carries a
 //    cancellation token (observed between quanta, so Cancel() returns the
 //    pool to other jobs within one quantum, never joining or respawning
-//    threads), a priority, a deadline or walk budget, and an optional
+//    threads), a deadline or walk budget, and an optional
 //    snapshot-subscription callback. Handles expose Snapshot() (live
-//    merged partials), Cancel() and Await().
+//    merged partials), Cancel(), Finish() and Await().
 //
 // ServingCore::Submit on a pinned GraphSnapshot is the only way a chart is
 // served in parallel; a one-shot run is `core.Submit(query, job).Await()`.
@@ -50,7 +55,6 @@
 #include <vector>
 
 #include "src/index/snapshot.h"
-#include "src/ola/engine.h"
 #include "src/ola/estimator.h"
 #include "src/ola/topk.h"
 #include "src/query/chain_query.h"
@@ -86,7 +90,6 @@ struct ParallelOlaResult {
   GroupedEstimates estimates;
   OlaCounters counters;
   double elapsed_seconds = 0;
-  int workers = 0;  // logical workers that ran
   // Top-K serving: displayed chart settled and converged at the end of
   // the run (false when top-K serving is off).
   bool displayed_converged = false;
@@ -108,35 +111,28 @@ struct ChartJobOptions {
   // after submission.
   double deadline_seconds = 0.1;
 
-  // Higher-priority jobs are always scheduled first; ties share the pool
-  // round-robin, one quantum at a time.
-  int priority = 0;
-
-  // Budget mode: number of logical workers the budget is split across.
-  // Part of the deterministic run identity — changing it changes the
+  // Number of logical workers the job is split across. Live jobs share
+  // the pool round-robin, one quantum at a time. In budget mode this is
+  // part of the deterministic run identity — changing it changes the
   // estimate (like changing the seed), whereas the pool size never does.
-  // Jobs whose engine is not mergeable (Ripple) are clamped to 1.
   int workers = 4;
-  // Max slots of this job running concurrently; 0 = no per-job cap (the
-  // pool size is the cap).
-  int max_concurrency = 0;
 
   uint64_t seed = 1;
-  OlaEngineKind engine = OlaEngineKind::kAudit;
-  std::vector<int> walk_order;  // empty = engine default
-  double tipping_threshold = 64.0;  // Audit Join only
+  std::vector<int> walk_order;  // empty = forward
+  // Audit Join's tipping threshold. Tests lower it to serve stochastic
+  // (rarely tipped) charts on small graphs.
+  double tipping_threshold = 64.0;
 
-  // Audit Join distinct mode: share ONE reach-probability cache across
-  // every slot of the job, so each distinct (a, b) pair is audited once
+  // Distinct queries audit every slot of the job against ONE
+  // reach-probability cache, so each distinct (a, b) pair is audited once
   // per job instead of once per slot. Sharing preserves the walk-budget
   // bit-identity guarantee (memo values are pure functions of the plan,
   // so insert races are benign — src/core/reach.h); only the cache
-  // counters become scheduling-dependent. `shared_reach` (e.g. from the
-  // session's ReachCacheRegistry) lets concurrent and successive jobs on
-  // the same (query, walk order) share one warm cache instead; it takes
-  // precedence over share_reach and must outlive the job (pair it with
+  // counters become scheduling-dependent. By default the job builds its
+  // own cache; `shared_reach` (e.g. from the session's ReachCacheRegistry)
+  // lets concurrent and successive jobs on the same (query, walk order)
+  // share one warm cache instead. It must outlive the job (pair it with
   // `reach_keepalive` when the cache's owner may evict it mid-flight).
-  bool share_reach = true;
   ReachProbability* shared_reach = nullptr;
   // Pins whatever owns `shared_reach` (a registry cache entry) for the
   // job's lifetime, so eviction of a stale-epoch entry cannot free a
@@ -160,11 +156,10 @@ struct ChartJobOptions {
   double snapshot_period = 0.05;
 
   // Top-K chart serving (src/ola/topk.h): top_k.k > 0 tracks the K-th
-  // displayed group's lower bound and (deadline mode, top_k.prune) skips
-  // walks whose group can no longer enter the display. Budget-mode jobs
-  // force prune off — pruning changes which walks complete, and a
-  // budgeted estimate must stay a pure function of (query, seed, budget,
-  // workers).
+  // displayed group's lower bound. Deadline-mode jobs also skip walks
+  // whose group can no longer enter the display; budget-mode jobs only
+  // observe — pruning changes which walks complete, and a budgeted
+  // estimate must stay a pure function of (query, seed, budget, workers).
   TopKOptions top_k;
   // Deadline mode only: retire the job (as completed, with its partials)
   // as soon as the displayed chart converged, instead of walking to the
@@ -220,7 +215,7 @@ struct ServeStats {
   uint64_t jobs_cancelled = 0;
   uint64_t quanta = 0;           // time slices executed
   uint64_t preemptions = 0;      // quanta where a worker switched jobs
-  uint64_t walks = 0;            // walk-quanta executed across all jobs
+  uint64_t walks = 0;            // walks executed across all jobs
   uint64_t live_jobs = 0;        // queued + running right now
   uint64_t max_live_jobs = 0;
   uint64_t tasks_run = 0;        // background tasks executed (SubmitTask)
@@ -235,11 +230,10 @@ class ServingCore {
  public:
   struct Options {
     int threads = 2;
-    // Walk-quanta per time slice: the preemption and cancellation
-    // granularity. Smaller = fairer + faster cancel, larger = less
-    // scheduling overhead.
-    uint64_t quantum_walks = 256;
   };
+
+  // Walks per time slice: the preemption and cancellation granularity.
+  static constexpr uint64_t kQuantumWalks = 256;
 
   // Serves `snapshot`'s version by default; jobs may pin a different
   // version via ChartJobOptions::snapshot. Tests and benches that own an

@@ -60,7 +60,7 @@ void TopKTracker::Update(const GroupedEstimates& merged) {
     const double hi = bounds[i].estimate + bounds[i].ci;
     if (kth_lower > 0 && hi < kth_lower) {
       ++pruned;
-      if (options_.prune) {
+      if (prune_) {
         if (filter == nullptr) filter = std::make_shared<GroupFilter>();
         filter->pruned_.FindOrAdd(bounds[i].group) = 1;
       }
@@ -75,7 +75,7 @@ void TopKTracker::Update(const GroupedEstimates& merged) {
     MutexLock lock(mutex_);
     kth_lower_ = kth_lower;
     pruned_count_ = pruned;
-    if (options_.prune) {
+    if (prune_) {
       // Keep the previous filter when this round prunes nothing new —
       // engines hold snapshots, and an empty swap would only churn them.
       if (filter != nullptr) filter_ = std::move(filter);

@@ -11,10 +11,10 @@
 // an immutable GroupFilter snapshot (swapped atomically under the
 // tracker's mutex) so the walk hot path takes no locks.
 //
-// Pruning changes which walks complete, so it is restricted to
-// deadline-mode jobs; budget-mode jobs keep the tracker in observe-only
-// mode (the convergence signal without the filter) to preserve the
-// bit-identical-across-pool-sizes contract.
+// Pruning changes which walks complete, so it follows the job mode:
+// deadline-mode jobs prune, budget-mode jobs keep the tracker in
+// observe-only mode (the convergence signal without the filter) to
+// preserve the bit-identical-across-pool-sizes contract.
 #ifndef KGOA_OLA_TOPK_H_
 #define KGOA_OLA_TOPK_H_
 
@@ -35,9 +35,6 @@ struct TopKOptions {
   // A displayed group counts as converged when its CI half-width is
   // within this fraction of its estimate.
   double ci_target = 0.05;
-  // Skip walks (and audit runs) bound to groups that can no longer enter
-  // the display. Forced off for budget-mode jobs.
-  bool prune = true;
   // No pruning and no convergence signal before this many walks: early
   // intervals are too loose to trust the K-th lower bound.
   uint64_t min_walks = 1024;
@@ -64,7 +61,11 @@ class GroupFilter {
 // thread.
 class TopKTracker {
  public:
-  explicit TopKTracker(TopKOptions options) : options_(options) {}
+  // `prune`: publish a filter of the groups that can no longer enter the
+  // display, so engines skip walks (and audit runs) bound to them. False
+  // keeps the tracker observe-only.
+  TopKTracker(TopKOptions options, bool prune)
+      : options_(options), prune_(prune) {}
 
   TopKTracker(const TopKTracker&) = delete;
   TopKTracker& operator=(const TopKTracker&) = delete;
@@ -103,6 +104,7 @@ class TopKTracker {
 
  private:
   const TopKOptions options_;
+  const bool prune_;
   mutable Mutex mutex_;
   // The published filter is an immutable snapshot: the pointer swap is
   // guarded; the pointee never mutates after publication, so engines

@@ -15,23 +15,13 @@ WanderJoin::WanderJoin(const IndexSet& indexes, const ChainQuery& query,
       options_(options),
       plan_(WalkPlan::Compile(query_, options.walk_order)),
       rng_(options.seed),
-      state_(plan_.num_slots(), kInvalidTerm),
-      alpha_record_step_(plan_.RecordStepOfSlot(plan_.alpha_slot())) {}
+      state_(plan_.num_slots(), kInvalidTerm) {}
 
 void WanderJoin::RunOneWalk() {
   rng_.Seed(WalkSeed(options_.seed, walk_counter_++));
   double weight = 1.0;  // prod d_i = 1 / Pr(walk so far)
   for (int q = 0; q < plan_.NumSteps(); ++q) {
     const WalkStep& step = plan_.steps()[q];
-    // Top-K prune: the previous step bound the group-by value to a group
-    // ruled out of the displayed chart — end the walk with a zero
-    // contribution before resolving this step.
-    if (group_filter_ != nullptr && q == alpha_record_step_ + 1 &&
-        group_filter_->Pruned(state_[plan_.alpha_slot()])) {
-      ++pruned_;
-      estimates_.EndWalk(/*rejected=*/false);
-      return;
-    }
     const TermId bound =
         step.in_slot >= 0 ? state_[step.in_slot] : kInvalidTerm;
     const Range range = step.access.Resolve(indexes_, bound);
@@ -56,14 +46,6 @@ void WanderJoin::RunOneWalk() {
   // inverse sampling probability is at least one.
   KGOA_DCHECK_GE(weight, 1.0);
   const TermId group = state_[plan_.alpha_slot()];
-  // Group bound only by the final step: the in-loop check never saw it.
-  if (group_filter_ != nullptr &&
-      alpha_record_step_ + 1 == plan_.NumSteps() &&
-      group_filter_->Pruned(group)) {
-    ++pruned_;
-    estimates_.EndWalk(/*rejected=*/false);
-    return;
-  }
   if (query_.distinct()) {
     // Ripple-Join style: duplicates of an already-seen (group, beta) pair
     // are rejected (contribute zero).
@@ -99,7 +81,7 @@ void WanderJoin::RunWalks(uint64_t count) {
 
 // Level-synchronous batch execution — the Wander Join specialization of
 // AuditJoin::RunWalkBatch's phase structure (no tipping phases):
-//   1. scalar prolog, walk order: top-K prune + bound extraction;
+//   1. scalar prolog, walk order: bound extraction;
 //   2. batched range resolve, hash probes prefetch-pipelined;
 //   3. rejection + per-walk RNG position draw, walk order;
 //   4. batched triple fetch + filter + record.
@@ -134,22 +116,14 @@ void WanderJoin::RunWalkBatch(uint32_t batch) {
   for (int q = 0; q < plan_.NumSteps() && alive > 0; ++q) {
     const WalkStep& step = plan_.steps()[q];
 
-    // Phase 1: prune + bound extraction, walk order.
+    // Phase 1: bound extraction, walk order.
     batch_live_.clear();
     for (uint32_t b = 0; b < batch; ++b) {
       if (batch_done_[b] != kLaneAlive) continue;
       const std::span<TermId> state = lane_state(b);
-      if (group_filter_ != nullptr && q == alpha_record_step_ + 1 &&
-          group_filter_->Pruned(state[plan_.alpha_slot()])) {
-        ++pruned_;
-        batch_done_[b] = kLaneDone;
-        --alive;
-        continue;
-      }
       batch_bound_[b] = step.in_slot >= 0 ? state[step.in_slot] : kInvalidTerm;
       batch_live_.push_back(b);
     }
-    if (alive == 0) break;
 
     // Phase 2: batched resolve.
     kernels::PrefetchPipeline(
@@ -203,20 +177,13 @@ void WanderJoin::RunWalkBatch(uint32_t batch) {
   // Completion loop, walk order: seen-set probes, contributions and
   // EndWalk in exactly the unbatched sequence.
   for (uint32_t b = 0; b < batch; ++b) {
-    if (batch_done_[b] != kLaneAlive) {
-      estimates_.EndWalk(/*rejected=*/batch_done_[b] == kLaneRejected);
+    if (batch_done_[b] == kLaneRejected) {
+      estimates_.EndWalk(/*rejected=*/true);
       continue;
     }
     const std::span<TermId> state = lane_state(b);
     KGOA_DCHECK_GE(batch_weight_[b], 1.0);
     const TermId group = state[plan_.alpha_slot()];
-    if (group_filter_ != nullptr &&
-        alpha_record_step_ + 1 == plan_.NumSteps() &&
-        group_filter_->Pruned(group)) {
-      ++pruned_;
-      estimates_.EndWalk(/*rejected=*/false);
-      continue;
-    }
     if (query_.distinct()) {
       const uint64_t pair = PackPair(group, state[plan_.beta_slot()]);
       bool inserted = false;

@@ -14,17 +14,19 @@
 // pairs seen so far and reject re-sampled duplicates. That estimator is
 // biased — demonstrating this is part of the paper's motivation for Audit
 // Join.
+//
+// Wander Join is one of the paper's offline baselines (Figs. 8-11): its
+// callers (RunOla, the figure benches) build it directly. Charts are
+// served by Audit Join through the serving core (src/ola/parallel.h).
 #ifndef KGOA_OLA_WANDER_H_
 #define KGOA_OLA_WANDER_H_
 
 #include <functional>
-#include <memory>
 #include <vector>
 
 #include "src/index/flat_table.h"
 #include "src/index/index_set.h"
 #include "src/ola/estimator.h"
-#include "src/ola/topk.h"
 #include "src/ola/walk_plan.h"
 #include "src/query/chain_query.h"
 #include "src/util/rng.h"
@@ -39,8 +41,9 @@ class WanderJoin {
     // harness selects the best candidate per query like the paper does.
     std::vector<int> walk_order;
     // Walks advanced per structure-of-arrays batch (0 = kDefaultWalkBatch,
-    // 1 = unbatched). Purely a throughput knob: per-walk counter-derived
-    // RNG (WalkSeed) makes estimates bit-identical for every width.
+    // 1 = unbatched, the reference path every width is checked against).
+    // Purely a throughput knob: per-walk counter-derived RNG (WalkSeed)
+    // makes estimates bit-identical for every width.
     uint32_t batch_walks = 0;
   };
 
@@ -64,19 +67,8 @@ class WanderJoin {
   // mode only). These contribute zero but are not dead-end rejections.
   uint64_t duplicate_walks() const { return duplicates_; }
 
-  // Walks ended early because their group was pruned from top-K
-  // contention (see src/ola/topk.h).
-  uint64_t pruned_walks() const { return pruned_; }
-
   // Walks executed through the structure-of-arrays batched path.
   uint64_t batched_walks() const { return batched_walks_; }
-
-  // Installs (nullptr: clears) a top-K group filter: once the walk binds
-  // its group-by value to a pruned group, it ends with a zero
-  // contribution instead of sampling the remaining steps.
-  void SetGroupFilter(std::shared_ptr<const GroupFilter> filter) {
-    group_filter_ = std::move(filter);
-  }
 
   // Verification hook: enumerates every possible walk with its probability
   // and the contribution it would add (ignoring the distinct seen-set,
@@ -108,14 +100,11 @@ class WanderJoin {
   // walk).
   FlatTable<uint64_t, uint8_t> seen_pairs_{~0ull};
   uint64_t duplicates_ = 0;
-  std::shared_ptr<const GroupFilter> group_filter_;
-  int alpha_record_step_ = -1;  // step binding the group-by slot
-  uint64_t pruned_ = 0;
   uint64_t batched_walks_ = 0;
 
   // Structure-of-arrays batch state, reused across batches. Lane index ==
   // walk order within the batch.
-  enum LaneState : uint8_t { kLaneAlive = 0, kLaneDone = 1, kLaneRejected = 2 };
+  enum LaneState : uint8_t { kLaneAlive = 0, kLaneRejected = 1 };
   std::vector<Rng> batch_rng_;
   std::vector<TermId> batch_state_;  // walk-major: [lane * num_slots + slot]
   std::vector<double> batch_weight_;

@@ -65,7 +65,7 @@ TEST_F(IntegrationTest, ExactEnginesAgreeOnWorkload) {
   }
 }
 
-TEST_F(IntegrationTest, OlaEnginesConvergeOnWorkload) {
+TEST_F(IntegrationTest, AuditJoinConvergesOnWorkload) {
   WorkloadOptions options;
   options.num_paths = 4;
   const auto workload = GenerateWorkload(graph_, indexes_, options);

@@ -140,7 +140,6 @@ TEST_F(ParallelTest, WalkBudgetEqualsSequentialUnionOfSeeds) {
   job.tipping_threshold = 2.0;
   const ParallelOlaResult parallel = testing::ServeOnce(
       GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/2);
-  EXPECT_EQ(parallel.workers, 4);
   EXPECT_EQ(parallel.estimates.walks(), kBudget);
 
   // Sequential reference: the same logical workers, run one after another
@@ -202,12 +201,13 @@ TEST_F(ParallelTest, WalkBudgetBitIdenticalAcrossThreadCounts) {
   }
 }
 
-// Runs `budget` walks in calls of at most one serving quantum (256 walks),
-// so batches cut short at a call boundary are exercised too.
+// Runs `budget` walks in calls of at most one serving quantum, so batches
+// cut short at a call boundary are exercised too.
 template <typename Engine>
 void RunInQuanta(Engine& engine, uint64_t budget) {
-  for (uint64_t done = 0; done < budget; done += 256) {
-    engine.RunWalks(std::min<uint64_t>(256, budget - done));
+  constexpr uint64_t kQuantum = ServingCore::kQuantumWalks;
+  for (uint64_t done = 0; done < budget; done += kQuantum) {
+    engine.RunWalks(std::min(kQuantum, budget - done));
   }
 }
 
@@ -220,9 +220,8 @@ void RunInQuanta(Engine& engine, uint64_t budget) {
 TEST_F(ParallelTest, BatchWidthsAndSimdLevelsBitIdentical) {
   constexpr uint64_t kBudget = 3000;
   const SimdLevel entry_level = CurrentSimdLevel();
-  for (const OlaEngineKind engine :
-       {OlaEngineKind::kAudit, OlaEngineKind::kWander}) {
-    const ChainQuery query = Fig5(engine == OlaEngineKind::kAudit);
+  for (const bool audit_join : {true, false}) {
+    const ChainQuery query = Fig5(/*distinct=*/audit_join);
     GroupedEstimates reference;
     bool have_reference = false;
     for (const SimdLevel level :
@@ -230,11 +229,11 @@ TEST_F(ParallelTest, BatchWidthsAndSimdLevelsBitIdentical) {
       SetSimdLevel(level);  // clamped to what the CPU supports
       for (const uint32_t batch : {1u, 2u, 32u, 101u}) {
         SCOPED_TRACE(::testing::Message()
-                     << OlaEngineName(engine) << " batch=" << batch
+                     << (audit_join ? "audit" : "wander") << " batch=" << batch
                      << " simd=" << SimdLevelName(CurrentSimdLevel()));
         GroupedEstimates estimates;
         uint64_t batched = 0;
-        if (engine == OlaEngineKind::kAudit) {
+        if (audit_join) {
           AuditJoin::Options options;
           options.seed = 17;
           options.tipping_threshold = 2.0;
@@ -273,28 +272,11 @@ TEST_F(ParallelTest, AuditWorkersConvergeMerged) {
   ChartJobOptions job;
   job.walk_budget = 30000;
   job.workers = 3;
-  job.engine = OlaEngineKind::kAudit;
   job.tipping_threshold = 2.0;  // stochastic mode
   const ParallelOlaResult run = testing::ServeOnce(
       GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/3);
 
   EXPECT_EQ(run.estimates.walks(), 30000u);
-  for (const auto& [group, count] : exact.counts) {
-    EXPECT_NEAR(run.estimates.Estimate(group), static_cast<double>(count),
-                0.1 * static_cast<double>(count) + 0.1);
-  }
-}
-
-TEST_F(ParallelTest, WanderWorkersConvergeOnNonDistinct) {
-  const ChainQuery query = Fig5(false);
-  const GroupedResult exact = testing::BruteForce(graph_, query);
-
-  ChartJobOptions job;
-  job.walk_budget = 30000;
-  job.workers = 2;
-  job.engine = OlaEngineKind::kWander;
-  const ParallelOlaResult run = testing::ServeOnce(
-      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/2);
   for (const auto& [group, count] : exact.counts) {
     EXPECT_NEAR(run.estimates.Estimate(group), static_cast<double>(count),
                 0.1 * static_cast<double>(count) + 0.1);
@@ -309,7 +291,6 @@ TEST_F(ParallelTest, WalkBudgetSnapshotsPublishPartials) {
 
   ServingCore::Options core_options;
   core_options.threads = 4;
-  core_options.quantum_walks = 64;
   ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   int snapshots = 0;

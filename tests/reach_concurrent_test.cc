@@ -284,7 +284,6 @@ TEST_F(ReachConcurrentTest, SharedCacheBitIdenticalAcrossThreadCounts) {
   job.walk_budget = kBudget;
   job.workers = 8;
   job.tipping_threshold = 2.0;
-  ASSERT_TRUE(job.share_reach);
   GroupedEstimates reference;
   for (int threads : {1, 2, 8}) {
     const ParallelOlaResult run = testing::ServeOnce(
@@ -297,26 +296,6 @@ TEST_F(ReachConcurrentTest, SharedCacheBitIdenticalAcrossThreadCounts) {
       testing::ExpectBitIdentical(reference, run.estimates);
     }
   }
-}
-
-// Sharing the cache changes performance counters, never estimates: a run
-// with private per-worker caches merges to the exact same result.
-TEST_F(ReachConcurrentTest, SharedAndPrivateCachesProduceIdenticalRuns) {
-  const ChainQuery query = Fig5(true);
-  constexpr uint64_t kBudget = 3000;
-
-  ChartJobOptions job;
-  job.walk_budget = kBudget;
-  job.workers = 4;
-  job.tipping_threshold = 2.0;
-
-  job.share_reach = true;
-  const ParallelOlaResult shared = testing::ServeOnce(
-      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/4);
-  job.share_reach = false;
-  const ParallelOlaResult isolated = testing::ServeOnce(
-      GraphSnapshot::Unowned(indexes_), query, job, /*threads=*/4);
-  testing::ExpectBitIdentical(shared.estimates, isolated.estimates);
 }
 
 // A cache handed to successive jobs stays warm: the second identical job

@@ -1,8 +1,8 @@
 // Tests for the persistent serving core: cancellation latency, multi-job
-// fairness, priority scheduling, session auto-cancel, top-K self-finish
-// under concurrency, and — the load-bearing guarantee — walk-budget
-// bit-identity of a job run solo vs. run alongside competing jobs on pools
-// of 1, 2, and 8 threads.
+// fairness, background-task ordering, session auto-cancel, top-K
+// self-finish under concurrency, and — the load-bearing guarantee —
+// walk-budget bit-identity of a job run solo vs. run alongside competing
+// jobs on pools of 1, 2, and 8 threads.
 //
 // Runs under TSan in tier-1 (scripts/tier1.sh): the scheduler state, the
 // per-slot publish handoff, and the callback serialization are all exercised
@@ -13,6 +13,7 @@
 #include <cstdint>
 #include <memory>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "src/core/explorer.h"
@@ -56,7 +57,6 @@ class ServeTest : public ::testing::Test {
 TEST_F(ServeTest, CancelObservedWithinOneQuantumNoLeakedPartials) {
   ServingCore::Options core_options;
   core_options.threads = 1;
-  core_options.quantum_walks = 128;
   ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   struct Shared {
@@ -123,13 +123,12 @@ TEST_F(ServeTest, CancelObservedWithinOneQuantumNoLeakedPartials) {
   EXPECT_EQ(handle.state(), ChartJobState::kCancelled);
 }
 
-// Two equal-priority jobs share a 1-thread pool round-robin: when the
-// finite job completes, the competing job must have advanced to within a
-// comparable walk count — not been starved behind it.
+// Two jobs share a 1-thread pool round-robin: when the finite job
+// completes, the competing job must have advanced to within a comparable
+// walk count — not been starved behind it.
 TEST_F(ServeTest, TwoJobsShareThePoolFairly) {
   ServingCore::Options core_options;
   core_options.threads = 1;
-  core_options.quantum_walks = 256;
   ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   constexpr uint64_t kBudget = 40 * 256;
@@ -206,59 +205,6 @@ TEST_F(ServeTest, WalkBudgetBitIdenticalSoloVsConcurrentAcrossPools) {
   }
 }
 
-// Priority: a high-priority job submitted while a low-priority job is
-// running takes over the (single) worker until it completes; the
-// low-priority job makes no progress beyond in-flight quanta.
-TEST_F(ServeTest, HigherPriorityJobPreemptsLowerPriority) {
-  ServingCore::Options core_options;
-  core_options.threads = 1;
-  core_options.quantum_walks = 256;
-  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
-
-  const ChainQuery query = Fig5(true);
-  ChartJobOptions low;
-  low.walk_budget = kHugeBudget;
-  low.workers = 1;
-  low.priority = 0;
-  low.seed = 5;
-  ChartHandle background = core.Submit(query, low);
-
-  ChartJobOptions high;
-  high.walk_budget = 80 * 256;
-  high.workers = 1;
-  high.priority = 10;
-  high.seed = 7;
-  // Probe the low-priority job's progress from inside the high-priority
-  // job's FINAL snapshot callback: it runs on the pool's only worker
-  // thread before that worker can go back to the background job, so it
-  // observes the background walk count exactly at high-job completion.
-  // (Probing from this thread after Await() would also count everything
-  // the freed worker runs during our wake-up latency.)
-  std::atomic<uint64_t> low_walks_at_high_done{0};
-  high.on_snapshot = [&](const OlaSnapshot& snapshot) {
-    if (snapshot.final_snapshot) {
-      low_walks_at_high_done.store(background.Snapshot().estimates.walks());
-    }
-  };
-  const ChartHandle urgent_handle = core.Submit(query, high);
-  // From here on the scheduler must prefer the high-priority job, so the
-  // background job can at most finish quanta already in flight. (The
-  // baseline is read only now: everything run while Submit itself built
-  // the job — plan compilation, reach-cache setup — is real time on a
-  // 1-thread pool and not the scheduler's doing.)
-  const uint64_t before = background.Snapshot().estimates.walks();
-  const ParallelOlaResult urgent = urgent_handle.Await();
-  EXPECT_EQ(urgent.estimates.walks(), 80u * 256u);
-
-  const uint64_t after = low_walks_at_high_done.load();
-  // The low-priority job may finish quanta that were in flight around the
-  // two probes, but must not have shared the pool while the high-priority
-  // job was live (a round-robin scheduler would give it ~80 quanta here).
-  EXPECT_LE(after, before + 16 * 256);
-  background.Cancel();
-  background.Await();
-}
-
 // Deadline mode through the core: the job retires on its own once the
 // wall clock passes the deadline fixed at submit.
 TEST_F(ServeTest, DeadlineJobRetiresOnItsOwn) {
@@ -276,31 +222,6 @@ TEST_F(ServeTest, DeadlineJobRetiresOnItsOwn) {
   EXPECT_GE(result.elapsed_seconds, 0.05);
   EXPECT_GT(result.estimates.walks(), 0u);
   EXPECT_EQ(core.stats().jobs_completed, 1u);
-}
-
-// Engine-agnostic scheduling: a Ripple job runs through the same pool.
-// Ripple's without-replacement samples don't merge across engines, so the
-// scheduler clamps it to one logical worker; on this graph the budget
-// exhausts the extents and the estimates become exact.
-TEST_F(ServeTest, RippleJobClampsToOneWorkerAndConverges) {
-  ServingCore::Options core_options;
-  core_options.threads = 2;
-  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
-
-  const ChainQuery query = Fig5(false);
-  const GroupedResult exact = testing::BruteForce(graph_, query);
-
-  ChartJobOptions options;
-  options.engine = OlaEngineKind::kRipple;
-  options.walk_budget = 20000;
-  options.workers = 4;  // requested, but clamped
-  const ParallelOlaResult& result = core.Submit(query, options).Await();
-  EXPECT_EQ(result.workers, 1);
-  for (const auto& [group, count] : exact.counts) {
-    EXPECT_NEAR(result.estimates.Estimate(group),
-                static_cast<double>(count),
-                1e-6 * static_cast<double>(count) + 1e-6);
-  }
 }
 
 // The Explorer/session wiring: SubmitChart returns a live handle wired to
@@ -365,7 +286,6 @@ TEST_F(ServeTest, SessionAutoCancelsSupersededJobs) {
 TEST_F(ServeTest, FinishStopsJobQuicklyAndRetiresAsCompleted) {
   ServingCore::Options core_options;
   core_options.threads = 1;
-  core_options.quantum_walks = 128;
   ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
   ChartJobOptions options;
@@ -427,7 +347,6 @@ TEST(TopKServeTest, DeadlineModePrunesTailAndSelfFinishesOnConvergence) {
 
   ServingCore::Options core_options;
   core_options.threads = 2;
-  core_options.quantum_walks = 256;
   ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
 
   ChartJobOptions options;
@@ -556,6 +475,50 @@ TEST_F(ServeTest, CoreDestructionCancelsLiveJobs) {
   const ParallelOlaResult& result = orphan.Await();
   EXPECT_LT(result.estimates.walks(), kHugeBudget);
   orphan.Snapshot();  // still answerable after the core is gone
+}
+
+// The two SubmitTask guarantees compaction relies on, checked on a
+// 1-thread core kept busy by an unbounded job. A runnable job always wins
+// PickWork, so both checks are deterministic: (1) chart quanta take
+// precedence — the task waits while the job keeps advancing, and runs once
+// the job is cancelled; (2) a task submitted before destruction always
+// runs — exactly once, inline in the destructor when the pool never got
+// to it.
+TEST_F(ServeTest, BackgroundTasksYieldToChartsAndAlwaysRun) {
+  ServingCore::Options core_options;
+  core_options.threads = 1;
+  ChartJobOptions busy;
+  busy.walk_budget = kHugeBudget;
+  busy.workers = 1;
+
+  std::atomic<int> runs{0};
+  {
+    ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
+    const ChartHandle job = core.Submit(Fig5(true), busy);
+    core.SubmitTask([&runs] { runs.fetch_add(1); });
+    const uint64_t quanta_at_submit = core.stats().quanta;
+    while (core.stats().quanta < quanta_at_submit + 8) {
+      std::this_thread::yield();
+    }
+    EXPECT_EQ(runs.load(), 0);
+    EXPECT_EQ(core.stats().tasks_run, 0u);
+
+    job.Cancel();
+    while (runs.load() == 0) std::this_thread::yield();
+    EXPECT_EQ(core.stats().tasks_run, 1u);
+    EXPECT_EQ(job.state(), ChartJobState::kCancelled);
+  }
+  EXPECT_EQ(runs.load(), 1);
+
+  std::atomic<int> late_runs{0};
+  ChartHandle orphan;
+  {
+    ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
+    orphan = core.Submit(Fig5(true), busy);
+    core.SubmitTask([&late_runs] { late_runs.fetch_add(1); });
+  }
+  EXPECT_EQ(late_runs.load(), 1);
+  EXPECT_EQ(orphan.state(), ChartJobState::kCancelled);
 }
 
 TEST(ChartJobStateNames, AreStable) {

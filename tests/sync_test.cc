@@ -200,7 +200,6 @@ TEST(SyncTest, CallbackRunsOutsideSchedulerLock) {
 
   ServingCore::Options core_options;
   core_options.threads = 1;  // one worker: any held-lock re-entry deadlocks
-  core_options.quantum_walks = 64;
   ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
 
   struct Shared {
