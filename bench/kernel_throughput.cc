@@ -1,16 +1,18 @@
 // Kernel ablation: scalar vs SIMD vs SIMD+batched across the hot path.
 //
-// Part 1 — microbenchmarks of the three kernel families behind the PR 8
-// dispatch layer (src/index/kernels.h), each at the forced-scalar level
-// and at the highest level the host CPU supports:
+// Part 1 — microbenchmarks of the three kernel families behind the
+// dispatch layer (src/index/kernels.h), decode and seek each at the
+// forced-scalar level and at the highest level the host CPU supports:
 //
-//   decode   BlockedColumn::DecodeBlock over a mixed column (FOR
-//            bit-packed and zigzag varint-delta blocks), MB/s of decoded
+//   decode   BlockedColumn::DecodeBlock over the twelve level columns
+//            (four orders x three levels) of the DBpedia-like graph,
+//            encoded as the block tier stores them, MB/s of decoded
 //            values.
 //   seek     kernels::LowerBoundU32 over decoded 128-entry blocks — the
 //            in-block tail of every SeekGE/SeekGT — lookups/s.
 //   probe    FlatTable::Find over an LLC-sized table, serial loop vs
-//            kernels::ProbeBatch (software-prefetch pipeline), probes/s.
+//            kernels::PrefetchPipeline (Prefetch a window ahead, Find in
+//            order), probes/s.
 //
 // Part 2 — end-to-end: a fixed walk-budget Audit Join run on the
 // DBpedia-like graph's block tier, timed under (a) scalar + unbatched,
@@ -36,6 +38,7 @@
 #include "src/index/block_codec.h"
 #include "src/index/flat_table.h"
 #include "src/index/kernels.h"
+#include "src/index/trie_index.h"
 #include "src/ola/walk_plan.h"
 #include "src/util/flags.h"
 #include "src/util/rng.h"
@@ -50,40 +53,40 @@ bool BenchQuick() {
   return std::getenv("KGOA_BENCH_QUICK") != nullptr;  // NOLINT(concurrency-mt-unsafe)
 }
 
-// A column that exercises both codecs: alternating runs of narrow-band
-// values (bit-packed, with occasional outliers) and sorted small-gap
-// runs (varint-delta single-byte fast path).
-std::vector<uint32_t> MixedColumn(uint32_t n) {
-  Rng rng(99);
-  std::vector<uint32_t> values(n);
-  uint32_t running = 0;
-  for (uint32_t i = 0; i < n; ++i) {
-    if ((i / kCodecBlockSize) % 2 == 0) {
-      values[i] = rng.Below(64) == 0
-                      ? (1u << 28) + static_cast<uint32_t>(rng.Below(9))
-                      : static_cast<uint32_t>(rng.Below(1u << 12));
-    } else {
-      running += static_cast<uint32_t>(rng.Below(5));
-      values[i] = running;
+// Every level column of the four trie orders over `graph`, encoded the
+// way TrieIndex::CompressToBlockTier encodes them.
+std::vector<BlockedColumn> LevelColumns(const Graph& graph) {
+  std::vector<BlockedColumn> columns;
+  std::vector<uint32_t> values(graph.NumTriples());
+  for (const IndexOrder order : kAllIndexOrders) {
+    const TrieIndex index(order, graph.triples());
+    for (int level = 0; level < 3; ++level) {
+      for (uint32_t pos = 0; pos < index.size(); ++pos) {
+        values[pos] = index.KeyAt(pos, level);
+      }
+      columns.emplace_back(values.data(), index.size());
     }
   }
-  return values;
+  return columns;
 }
 
-double DecodeMbps(const BlockedColumn& col, int rounds) {
+double DecodeMbps(const std::vector<BlockedColumn>& columns, int rounds) {
   alignas(32) uint32_t vals[kCodecBlockSize];
   uint64_t sink = 0;
+  uint64_t values = 0;
   Stopwatch clock;
   for (int r = 0; r < rounds; ++r) {
-    for (uint32_t b = 0; b < col.num_blocks(); ++b) {
-      const uint32_t count = col.DecodeBlock(b, vals);
-      sink += vals[count - 1];
+    for (const BlockedColumn& col : columns) {
+      for (uint32_t b = 0; b < col.num_blocks(); ++b) {
+        const uint32_t count = col.DecodeBlock(b, vals);
+        sink += vals[count - 1];
+      }
+      values += col.size();
     }
   }
   const double seconds = clock.ElapsedSeconds();
   if (sink == 0xdeadbeef) std::printf("(unreachable)\n");  // keep the sink
-  const double bytes = static_cast<double>(col.size()) * 4.0 * rounds;
-  return bytes / seconds / 1e6;
+  return static_cast<double>(values) * 4.0 / seconds / 1e6;
 }
 
 double SeeksPerSec(const std::vector<uint32_t>& block_vals,
@@ -135,15 +138,24 @@ int main(int argc, char** argv) {
   registry.SetCounter("kernels.default_batch_walks",
                       kgoa::kDefaultWalkBatch);
 
+  kgoa::Graph graph = kgoa::GenerateKg(kgoa::DbpediaLikeSpec(scale));
+
   // --- decode ---
-  const uint32_t column_n = quick ? (1u << 18) : (1u << 20);
-  const int decode_rounds = quick ? 20 : 100;
-  const std::vector<uint32_t> values = kgoa::MixedColumn(column_n);
-  const kgoa::BlockedColumn column(values.data(), column_n);
+  const int decode_rounds = quick ? 20 : 30;
+  const std::vector<kgoa::BlockedColumn> columns = kgoa::LevelColumns(graph);
+  uint64_t encoded_bytes = 0;
+  for (const kgoa::BlockedColumn& col : columns) {
+    encoded_bytes += col.MemoryBytes();
+  }
+  std::printf("decode input: %zu level columns, %zu values each, "
+              "%.2f encoded bits/value\n",
+              columns.size(), graph.NumTriples(),
+              static_cast<double>(encoded_bytes) * 8.0 /
+                  static_cast<double>(columns.size() * graph.NumTriples()));
   kgoa::SetSimdLevel(kgoa::SimdLevel::kScalar);
-  const double decode_scalar = kgoa::DecodeMbps(column, decode_rounds);
+  const double decode_scalar = kgoa::DecodeMbps(columns, decode_rounds);
   kgoa::SetSimdLevel(best);
-  const double decode_simd = kgoa::DecodeMbps(column, decode_rounds);
+  const double decode_simd = kgoa::DecodeMbps(columns, decode_rounds);
   const double decode_speedup =
       decode_scalar > 0 ? decode_simd / decode_scalar : 0.0;
   std::printf("decode: scalar %8.0f MB/s, %s %8.0f MB/s  (%.2fx)\n",
@@ -196,10 +208,12 @@ int main(int argc, char** argv) {
   }
   const double serial_seconds = clock.ElapsedSeconds();
   clock.Restart();
-  kgoa::kernels::ProbeBatch(table, keys.data(), keys.size(),
-                            [&](std::size_t, const uint32_t* v) {
-                              sink += v != nullptr ? *v : 0;
-                            });
+  kgoa::kernels::PrefetchPipeline(
+      keys.size(), [&](std::size_t i) { table.Prefetch(keys[i]); },
+      [&](std::size_t i) {
+        const uint32_t* v = table.Find(keys[i]);
+        sink += v != nullptr ? *v : 0;
+      });
   const double batched_seconds = clock.ElapsedSeconds();
   if (sink == 0xdeadbeef) std::printf("(unreachable)\n");
   const double probes_serial = static_cast<double>(probe_n) / serial_seconds;
@@ -214,7 +228,6 @@ int main(int argc, char** argv) {
   registry.SetGauge("kernels.probe_speedup", probe_speedup);
 
   // --- end-to-end ---
-  kgoa::Graph graph = kgoa::GenerateKg(kgoa::DbpediaLikeSpec(scale));
   const kgoa::IndexSet block(
       graph, kgoa::IndexSetOptions{kgoa::StorageTier::kBlock});
   kgoa::ExplorationSession session(graph);

@@ -1,7 +1,8 @@
 // Fuzz harness for the compressed block codec (src/index/block_codec.h).
 //
-// Decodes the input bytes into a column of values whose shape stresses
-// both codecs (narrow bands, sorted runs, outliers, wide randoms), then:
+// Decodes the input bytes into a column of values whose shape spans the
+// frame-of-reference bit widths (narrow bands, sorted runs, outliers,
+// wide randoms), then:
 //
 //   * encodes and decodes the whole column, checking every value
 //     round-trips and the block directory invariants hold
@@ -10,7 +11,7 @@
 //     against a linear scan of the sorted raw values, exercising the
 //     block-max skip across windows that straddle block boundaries.
 //
-// Every input runs through BOTH kernel dispatch extremes — forced scalar
+// Every input runs through BOTH kernel dispatch levels — forced scalar
 // and the highest level the host CPU supports — and the decoded blocks
 // are compared bit for bit, so the fuzzer doubles as a differential
 // harness for the SIMD decode kernels (src/index/kernels.h).
@@ -87,7 +88,7 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
     KGOA_CHECK(col.Get(i) == values[i]);
   }
 
-  // Scalar-vs-SIMD differential: both dispatch extremes must decode the
+  // Scalar-vs-SIMD differential: both dispatch levels must decode the
   // column to exactly the source values.
   const kgoa::SimdLevel entry_level = kgoa::CurrentSimdLevel();
   const std::vector<uint32_t> scalar =
@@ -126,8 +127,8 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
         break;
       }
     }
-    // Both dispatch extremes of the in-block lower-bound kernel must
-    // agree with the linear scan.
+    // Both dispatch levels of the in-block lower-bound kernel must agree
+    // with the linear scan.
     for (const kgoa::SimdLevel level :
          {kgoa::SimdLevel::kScalar, kgoa::MaxSupportedSimdLevel()}) {
       kgoa::SetSimdLevel(level);

@@ -29,7 +29,10 @@
 # The build directory defaults to ./build; override with KGOA_BENCH_BUILD.
 # Each emitted JSON has the stable key set checked at the bottom of this
 # script — downstream tooling (EXPERIMENTS.md tables, regression diffs)
-# may rely on those keys existing.
+# may rely on those keys existing. One value is gated too: the script
+# fails when index.memory_ratio_min (raw-tier over block-tier bytes, the
+# lower of the two datasets' ratios) is below 2.0, the block tier's
+# acceptance bar. Byte counts are deterministic, so the gate cannot flake.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -147,15 +150,19 @@ require(index_path, index, {
     "index.memory_ratio_min", "index.full_seconds_to_converged",
     "index.topk_seconds_to_displayed", "index.topk_speedup",
 })
+MIN_MEMORY_RATIO = 2.0
+memory_ratio = index["gauges"]["index.memory_ratio_min"]
+if memory_ratio < MIN_MEMORY_RATIO:
+    sys.exit(f"bench_json.sh: {index_path}: index.memory_ratio_min "
+             f"{memory_ratio:.2f} is below {MIN_MEMORY_RATIO}")
 print(f"bench_json.sh: wrote {index_path} "
-      f"(block tier "
-      f"{index['gauges']['index.memory_ratio_min']:.2f}x smaller, "
+      f"(block tier {memory_ratio:.2f}x smaller, "
       f"top-K displayed chart "
       f"{index['gauges']['index.topk_speedup']:.2f}x faster than full)")
 
 # Host-portable key set: scalar-vs-best rather than per-level keys, so the
-# same keys validate on machines without AVX2 (where "simd" may be SSE4.2
-# or scalar and the speedups sit near 1.0).
+# same keys validate on machines without AVX2 (where "simd" is scalar and
+# the speedups sit near 1.0).
 kernels = load(kernels_path)
 require(kernels_path, kernels, {
     "kernels.simd_level", "kernels.probe_prefetch_depth",

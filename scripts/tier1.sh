@@ -27,13 +27,15 @@
 #     fuzz for KGOA_FUZZ_SECONDS (default 60) each (overlay_fuzz is the
 #     snapshot-epoch differential: overlay view vs from-scratch rebuild)
 #  7. the entire ctest suite once more with KGOA_SIMD=off, so the
-#     scalar kernel fallback (the only dispatch level on non-x86 hosts)
-#     gets the same coverage as the vectorized default
+#     scalar kernels (the only dispatch level on hosts without AVX2, and
+#     the reference of every differential test) get the same coverage as
+#     the AVX2 default
 #  8. bench smoke: scripts/bench_json.sh --quick must emit all five
-#     BENCH JSONs with their stable key sets (written to a temp dir so
-#     the checked-in full-mode BENCH_reach.json / BENCH_serve.json /
-#     BENCH_index.json / BENCH_kernels.json / BENCH_update.json are not
-#     clobbered with quick-mode numbers)
+#     BENCH JSONs with their stable key sets and a block-tier memory
+#     ratio of at least 2.0 (written to a temp dir so the checked-in
+#     full-mode BENCH_reach.json / BENCH_serve.json / BENCH_index.json /
+#     BENCH_kernels.json / BENCH_update.json are not clobbered with
+#     quick-mode numbers)
 #
 # Usage: scripts/tier1.sh   (from the repo root)
 set -euo pipefail

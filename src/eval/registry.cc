@@ -141,6 +141,7 @@ void ExportMetrics(const ServeStats& stats, std::string_view prefix,
   registry->SetCounter(p + "walks", stats.walks);
   registry->SetCounter(p + "live_jobs", stats.live_jobs);
   registry->SetCounter(p + "max_live_jobs", stats.max_live_jobs);
+  registry->SetCounter(p + "tasks_run", stats.tasks_run);
   registry->SetGauge(p + "last_cancel_latency_seconds",
                      stats.last_cancel_latency_seconds);
 }

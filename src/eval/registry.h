@@ -59,10 +59,10 @@ void ExportMetrics(const AuditJoin& engine, std::string_view prefix,
 void ExportMetrics(const OlaCounters& counters, std::string_view prefix,
                    MetricsRegistry* registry);
 
-// Serving-core export ("serve." by convention): queue depth and job
-// lifecycle as counters, cancellation latency as a gauge. Cumulative
-// values are republished with SetCounter, so repeated exports of the same
-// core do not double-count.
+// Serving-core export ("serve." by convention): queue depth, job
+// lifecycle and background tasks run as counters, cancellation latency
+// as a gauge. Cumulative values are republished with SetCounter, so
+// repeated exports of the same core do not double-count.
 void ExportMetrics(const ServeStats& stats, std::string_view prefix,
                    MetricsRegistry* registry);
 
@@ -86,11 +86,11 @@ void ExportIndexProbeCounters(std::string_view prefix,
                               MetricsRegistry* registry);
 
 // Kernel-layer export ("simd." by convention): the resolved dispatch
-// level (`level` = 0 scalar / 1 sse4.2 / 2 avx2, with the name mirrored
-// as `level.<name>` = 1 so text dumps stay self-describing), the probe
-// pipeline's software-prefetch depth, and the calling thread's
-// block decode-cache hits/misses (src/index/block_codec.h — thread-local
-// for the same reason as the probe counters).
+// level (`level` = 0 scalar / 2 avx2, with the name mirrored as
+// `level.<name>` = 1 so text dumps stay self-describing), the probe
+// pipeline's software-prefetch depth, and the calling thread's block
+// decode-cache hits/misses (src/index/block_codec.h — thread-local for
+// the same reason as the probe counters).
 void ExportSimdMetrics(std::string_view prefix, MetricsRegistry* registry);
 
 // One-line JSON form of a live parallel-run snapshot — one line per

@@ -35,37 +35,18 @@ uint32_t CacheSlot(uint64_t key) {
                                (64 - std::bit_width(kDecodeCacheSlots - 1)));
 }
 
-// Zigzag maps signed deltas onto small unsigned ints (0,-1,1,-2,... ->
-// 0,1,2,3,...) so LEB128 stays short for deltas of either sign.
-uint64_t ZigzagEncode(int64_t d) {
-  return (static_cast<uint64_t>(d) << 1) ^ static_cast<uint64_t>(d >> 63);
+// FOR width of a block: every value fits in bit_width(max - min) bits.
+uint32_t BitWidth(const BlockMeta& meta) {
+  return static_cast<uint32_t>(std::bit_width(meta.max - meta.min));
 }
 
-uint32_t VarintLength(uint64_t z) {
-  return 1 + (63 - static_cast<uint32_t>(std::countl_zero(z | 1))) / 7;
-}
-
-void AppendVarint(uint64_t z, std::vector<uint8_t>& out) {
-  while (z >= 0x80) {
-    out.push_back(static_cast<uint8_t>(z) | 0x80);
-    z >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(z));
-}
-
-// Encoded size of `count` values as zigzag varint deltas seeded at `min`.
-uint64_t VarintDeltaBytes(const uint32_t* v, uint32_t count, uint32_t min) {
-  uint64_t bytes = 0;
-  int64_t prev = min;
-  for (uint32_t i = 0; i < count; ++i) {
-    bytes += VarintLength(ZigzagEncode(static_cast<int64_t>(v[i]) - prev));
-    prev = v[i];
-  }
-  return bytes;
+// Bytes of a block's `count` values packed at its bit width.
+uint64_t PackedBytes(const BlockMeta& meta) {
+  return (static_cast<uint64_t>(meta.count) * BitWidth(meta) + 7) / 8;
 }
 
 void AppendBitPacked(const uint32_t* v, uint32_t count, uint32_t base,
-                     uint8_t width, std::vector<uint8_t>& out) {
+                     uint32_t width, std::vector<uint8_t>& out) {
   uint64_t acc = 0;
   int bits = 0;
   for (uint32_t i = 0; i < count; ++i) {
@@ -80,51 +61,33 @@ void AppendBitPacked(const uint32_t* v, uint32_t count, uint32_t base,
   if (bits > 0) out.push_back(static_cast<uint8_t>(acc));
 }
 
-void AppendVarintDelta(const uint32_t* v, uint32_t count, uint32_t min,
-                       std::vector<uint8_t>& out) {
-  int64_t prev = min;
-  for (uint32_t i = 0; i < count; ++i) {
-    AppendVarint(ZigzagEncode(static_cast<int64_t>(v[i]) - prev), out);
-    prev = v[i];
-  }
-}
-
 }  // namespace
 
 BlockedColumn::BlockedColumn(const uint32_t* values, uint32_t n)
     : column_id_(g_next_column_id.fetch_add(1, std::memory_order_relaxed)),
       size_(n) {
+  // Directory first: a block's packed size follows from its min and max,
+  // so the payload is allocated once, at its exact size.
   directory_.reserve((n + kCodecBlockSize - 1) / kCodecBlockSize);
+  uint64_t payload_bytes = 0;
   for (uint32_t begin = 0; begin < n; begin += kCodecBlockSize) {
     const uint32_t count = std::min(kCodecBlockSize, n - begin);
-    const uint32_t* block = values + begin;
     const auto [min_it, max_it] =
-        std::minmax_element(block, block + count);
+        std::minmax_element(values + begin, values + begin + count);
     BlockMeta meta;
-    meta.byte_offset = payload_.size();
+    meta.byte_offset = payload_bytes;
     meta.min = *min_it;
     meta.max = *max_it;
     meta.count = static_cast<uint16_t>(count);
-    meta.bit_width = static_cast<uint8_t>(std::bit_width(meta.max - meta.min));
-    const uint64_t packed_bytes =
-        (static_cast<uint64_t>(count) * meta.bit_width + 7) / 8;
-    const uint64_t varint_bytes = VarintDeltaBytes(block, count, meta.min);
-    // Decode-cost-aware selection: bit-packed blocks unpack branch-free
-    // at a fixed stride (the vector kernels sustain several times the
-    // varint decode rate), while varint-delta parsing is serial in the
-    // worst case. Spend that speed only when varint saves a meaningful
-    // fraction of the block — it must come in under 3/4 of the packed
-    // size, not merely under it.
-    if (varint_bytes * 4 < packed_bytes * 3) {
-      meta.encoding = BlockEncoding::kVarintDelta;
-      AppendVarintDelta(block, count, meta.min, payload_);
-    } else {
-      meta.encoding = BlockEncoding::kBitPacked;
-      AppendBitPacked(block, count, meta.min, meta.bit_width, payload_);
-    }
+    payload_bytes += PackedBytes(meta);
     directory_.push_back(meta);
   }
-  payload_.shrink_to_fit();
+  payload_.reserve(payload_bytes);
+  for (uint32_t b = 0; b < num_blocks(); ++b) {
+    const BlockMeta& meta = directory_[b];
+    AppendBitPacked(values + b * kCodecBlockSize, meta.count, meta.min,
+                    BitWidth(meta), payload_);
+  }
 }
 
 uint32_t BlockedColumn::DecodeBlock(uint32_t block,
@@ -134,22 +97,10 @@ uint32_t BlockedColumn::DecodeBlock(uint32_t block,
   // final block — see the header comment.
   KGOA_CHECK_GE(out.size(), kCodecBlockSize);
   const BlockMeta& meta = directory_[block];
-  const uint8_t* p = payload_.data() + meta.byte_offset;
-  const uint8_t* payload_end = payload_.data() + payload_.size();
-  const uint32_t count = meta.count;
-  if (meta.encoding == BlockEncoding::kBitPacked) {
-    kernels::UnpackBits(p, payload_end, count, meta.min, meta.bit_width,
-                        out.data());
-  } else {
-    // The encoded byte length (next block's offset delta) is what enables
-    // the kernel's all-single-byte vector fast path.
-    const uint64_t bytes =
-        (block + 1 < num_blocks() ? directory_[block + 1].byte_offset
-                                  : payload_.size()) -
-        meta.byte_offset;
-    kernels::DecodeVarintDelta(p, bytes, count, meta.min, out.data());
-  }
-  return count;
+  kernels::UnpackBits(payload_.data() + meta.byte_offset,
+                      payload_.data() + payload_.size(), meta.count, meta.min,
+                      BitWidth(meta), out.data());
+  return meta.count;
 }
 
 const uint32_t* BlockedColumn::CachedBlock(uint32_t block) const {
@@ -242,12 +193,7 @@ void BlockedColumn::CheckInvariants(const uint32_t* expected) const {
     }
     KGOA_CHECK_EQ(lo, meta.min);
     KGOA_CHECK_EQ(hi, meta.max);
-    if (meta.encoding == BlockEncoding::kBitPacked) {
-      next_offset +=
-          (static_cast<uint64_t>(count) * meta.bit_width + 7) / 8;
-    } else {
-      next_offset += VarintDeltaBytes(vals, count, meta.min);
-    }
+    next_offset += PackedBytes(meta);
     total += count;
   }
   KGOA_CHECK_EQ(total, size_);

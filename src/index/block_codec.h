@@ -1,24 +1,19 @@
 // Compressed block storage for one trie-level column of TermIds.
 //
 // A BlockedColumn splits a column of n values into 128-entry blocks and
-// encodes each block independently with whichever of two codecs is
-// smaller for that block:
-//
-//   frame-of-reference bit-packing — every value stored as (v - min) in
-//       ceil(log2(max - min + 1)) bits, LSB-first; the natural winner for
-//       blocks whose values cluster in a narrow band (level-1/2 columns
-//       inside a large trie node), and free (0 bits) for constant blocks;
-//   zigzag varint-delta — LEB128 of the zigzag-mapped delta from the
-//       previous value (the block minimum seeds the chain); the winner for
-//       sorted runs with small gaps (the level-0 column, deep columns with
-//       many short node runs) where a single outlier would blow up the
-//       frame-of-reference width.
+// encodes every block with frame-of-reference bit-packing: each value is
+// stored as (v - min) in bit_width(max - min) bits, LSB-first. Blocks whose
+// values sit in a narrow band (level-1/2 columns inside a large trie node,
+// sorted runs with small gaps) pack into few bits per value, and a
+// constant block packs into 0 bits. With one encoding, every block decodes
+// through the same branch-free fixed-stride unpack (src/index/kernels.h).
 //
 // A flat directory holds per-block metadata {min, max, count, byte
-// offset, encoding, bit width}. The min/max bounds double as block-max
-// skip data for seeks: a block whose max is below the sought value can be
-// skipped without decoding no matter how the block straddles trie-node
-// boundaries, because the bound covers every value in the block.
+// offset}; a block's bit width follows from its min and max. The min/max
+// bounds double as block-max skip data for seeks: a block whose max is
+// below the sought value can be skipped without decoding no matter how
+// the block straddles trie-node boundaries, because the bound covers
+// every value in the block.
 //
 // Random access decodes through a small per-thread direct-mapped cache of
 // decoded blocks keyed by (column id, block index) — the column id is
@@ -53,16 +48,12 @@ inline thread_local DecodeCacheCounters t_decode_cache;
 // worth of directory strides and makes pos <-> block arithmetic shifts.
 inline constexpr uint32_t kCodecBlockSize = 128;
 
-enum class BlockEncoding : uint8_t { kBitPacked = 0, kVarintDelta = 1 };
-
 // Per-block directory entry. 24 bytes per 128 values (~1.5 bits/value).
 struct BlockMeta {
   uint64_t byte_offset = 0;  // start of the block's bytes in the payload
   TermId min = 0;            // smallest value in the block (FOR base)
   TermId max = 0;            // largest value in the block (skip bound)
   uint16_t count = 0;        // values in the block (kCodecBlockSize except last)
-  BlockEncoding encoding = BlockEncoding::kBitPacked;
-  uint8_t bit_width = 0;     // FOR width; unused for varint-delta
 };
 
 class BlockedColumn {
@@ -122,8 +113,8 @@ class BlockedColumn {
   }
 
   // Full decode audit: every block round-trips, directory min/max/count
-  // match the decoded values, offsets are monotone. O(n); tests and fuzz
-  // harnesses only.
+  // match the decoded values, offsets are contiguous. O(n); tests and
+  // fuzz harnesses only.
   void CheckInvariants(const uint32_t* expected = nullptr) const;
 
  private:

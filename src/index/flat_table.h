@@ -110,7 +110,7 @@ class FlatTable {
   }
 
   // Hints the home cache line for `key` into L1 ahead of a Find. Batched
-  // probe kernels (kernels::ProbeBatch) issue a window of these before
+  // probe loops (kernels::PrefetchPipeline) issue a window of these before
   // consuming the corresponding Finds in order, hiding the random-access
   // load latency behind the rest of the batch.
   void Prefetch(Key key) const {

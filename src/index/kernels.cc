@@ -1,8 +1,6 @@
 #include "src/index/kernels.h"
 
-#include <array>
-#include <bit>
-#include <cstring>
+#include <cstddef>
 
 #include "src/util/contract.h"
 
@@ -18,12 +16,6 @@
 namespace kgoa {
 namespace kernels {
 namespace {
-
-inline uint64_t Load64(const uint8_t* p) {
-  uint64_t v;
-  std::memcpy(&v, p, sizeof(v));
-  return v;
-}
 
 // ---------------------------------------------------------------------------
 // Frame-of-reference bit-unpack
@@ -58,29 +50,6 @@ void UnpackBitsScalarFrom(const uint8_t* in, uint32_t first, uint32_t count,
     acc >>= width;
     bits -= width;
   }
-}
-
-// SSE4.2-level path: branchless unaligned 64-bit extraction. Value i
-// starts at bit i*width; shift <= 7 plus width <= 32 fits one 64-bit
-// load. No vector ISA needed, but kept behind the sse4.2 dispatch level
-// so the scalar baseline stays byte-for-byte the pre-kernel loop.
-void UnpackBits64(const uint8_t* in, const uint8_t* in_end, uint32_t count,
-                  uint32_t base, uint32_t width, uint32_t* out) {
-  if (width == 0) {
-    for (uint32_t i = 0; i < count; ++i) out[i] = base;
-    return;
-  }
-  const uint64_t mask = width >= 32 ? 0xffffffffULL : ((1ULL << width) - 1);
-  const std::size_t avail = static_cast<std::size_t>(in_end - in);
-  uint32_t i = 0;
-  for (; i < count; ++i) {
-    const uint64_t bit = static_cast<uint64_t>(i) * width;
-    const std::size_t byte = static_cast<std::size_t>(bit >> 3);
-    if (byte + 8 > avail) break;  // 64-bit load would overread the payload
-    out[i] = base +
-             static_cast<uint32_t>((Load64(in + byte) >> (bit & 7)) & mask);
-  }
-  if (i < count) UnpackBitsScalarFrom(in, i, count, base, width, out);
 }
 
 #if KGOA_KERNELS_X86
@@ -157,267 +126,6 @@ __attribute__((target("avx2"))) void UnpackBitsAvx2(
 #endif  // KGOA_KERNELS_X86
 
 // ---------------------------------------------------------------------------
-// Zigzag varint-delta decode
-// ---------------------------------------------------------------------------
-
-// Portable baseline, identical to the pre-kernel DecodeBlock loop.
-void DecodeVarintDeltaScalar(const uint8_t* in, uint32_t count, uint32_t base,
-                             uint32_t* out) {
-  const uint8_t* p = in;
-  int64_t prev = base;
-  for (uint32_t i = 0; i < count; ++i) {
-    uint64_t z = 0;
-    int shift = 0;
-    while (*p & 0x80) {
-      z |= static_cast<uint64_t>(*p & 0x7f) << shift;
-      shift += 7;
-      ++p;
-    }
-    z |= static_cast<uint64_t>(*p) << shift;
-    ++p;
-    prev += static_cast<int64_t>(z >> 1) ^ -static_cast<int64_t>(z & 1);
-    out[i] = static_cast<uint32_t>(prev);
-  }
-}
-
-#if KGOA_KERNELS_X86
-
-// AVX2 path. Two regimes:
-//
-//   * bytes == count (the dominant shape — sorted runs with small gaps):
-//     every varint is one byte, so eight zigzag deltas widen, decode and
-//     prefix-sum per vector step, no length parsing at all.
-//   * mixed streams: masked-vbyte shuffle decode (after Plaisance, Kurz
-//     and Lemire, "Vectorized VByte Decoding"). Each iteration loads 8
-//     bytes; the word's continuation-bit pattern indexes a 256-entry
-//     table whose pshufb control gathers every complete 1- or 2-byte
-//     varint into its own 16-bit lane. One splice + zigzag + prefix-sum
-//     vector step then emits up to 8 values with no per-byte loop and no
-//     data-dependent branches. Words holding a longer varint (rare FOR
-//     outlier deltas) fall back to a tzcnt length parse whose payload
-//     comes from a masked shift-OR chain covering up to 6 encoded bytes
-//     (42 payload bits); the encoder never emits more than 5 for a
-//     zigzag delta of two uint32 values (< 2^33).
-//
-// The 8-byte loads stay inside [in, in + bytes): the final varints (tail
-// of < 8 encoded bytes) fall back to the byte-serial parse.
-
-// Shuffle-table entry for one 8-bit continuation mask: pshufb control
-// gathering each complete 1-/2-byte varint into a 16-bit lane (0x80
-// zeroes the absent high byte), the number of varints gathered, and the
-// input bytes they span. Parsing stops at the first >= 3-byte varint or
-// at a 2-byte varint cut off by the word boundary; `lanes == 0` (mask
-// bits 0 and 1 both set) sends the caller to the long-varint fallback.
-struct VbyteEntry {
-  uint8_t shuffle[16];
-  uint8_t lanes;
-  uint8_t consumed;
-};
-
-constexpr std::array<VbyteEntry, 256> MakeVbyteTable() {
-  std::array<VbyteEntry, 256> table{};
-  for (int mask = 0; mask < 256; ++mask) {
-    VbyteEntry& e = table[mask];
-    for (int b = 0; b < 16; ++b) e.shuffle[b] = 0x80;
-    int pos = 0;
-    int lanes = 0;
-    while (pos < 8) {
-      if ((mask & (1 << pos)) == 0) {  // terminator first: one byte
-        e.shuffle[2 * lanes] = static_cast<uint8_t>(pos);
-        pos += 1;
-      } else if (pos + 1 < 8 && (mask & (1 << (pos + 1))) == 0) {
-        e.shuffle[2 * lanes] = static_cast<uint8_t>(pos);
-        e.shuffle[2 * lanes + 1] = static_cast<uint8_t>(pos + 1);
-        pos += 2;
-      } else {  // >= 3-byte varint, or a 2-byte one the word cuts off
-        break;
-      }
-      ++lanes;
-    }
-    e.lanes = static_cast<uint8_t>(lanes);
-    e.consumed = static_cast<uint8_t>(pos);
-  }
-  return table;
-}
-
-constinit const std::array<VbyteEntry, 256> kVbyteTable = MakeVbyteTable();
-
-// Decodes the entry's 1-/2-byte varints from the 8 bytes at `p` in one
-// vector step: gather to 16-bit lanes, splice the 14-bit zigzag payload,
-// widen, decode, prefix-sum, add `prev` and store 8 lanes at `dst` (the
-// caller guarantees room; lanes past `e.lanes` hold garbage that later
-// values overwrite). Returns the running prefix after the group. A free
-// function — a lambda would not inherit the caller's target attribute
-// under GCC.
-__attribute__((target("avx2"))) inline uint32_t DecodeVbyteWord(
-    const uint8_t* p, const VbyteEntry& e, uint32_t prev, uint32_t* dst) {
-  const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  const __m128i gathered = _mm_shuffle_epi8(
-      raw, _mm_loadu_si128(reinterpret_cast<const __m128i*>(e.shuffle)));
-  // Each lane holds b0 | (b1 << 8); the varint payload is
-  // (b0 & 0x7f) | (b1 << 7), i.e. (lane & 0x7f) | ((lane >> 1) & 0x3f80).
-  const __m128i z16 = _mm_or_si128(
-      _mm_and_si128(gathered, _mm_set1_epi16(0x7f)),
-      _mm_and_si128(_mm_srli_epi16(gathered, 1), _mm_set1_epi16(0x3f80)));
-  const __m256i z = _mm256_cvtepu16_epi32(z16);
-  __m256i d = _mm256_xor_si256(
-      _mm256_srli_epi32(z, 1),
-      _mm256_sub_epi32(_mm256_setzero_si256(),
-                       _mm256_and_si256(z, _mm256_set1_epi32(1))));
-  d = _mm256_add_epi32(d, _mm256_slli_si256(d, 4));
-  d = _mm256_add_epi32(d, _mm256_slli_si256(d, 8));
-  const __m256i carry = _mm256_blend_epi32(
-      _mm256_setzero_si256(),
-      _mm256_permutevar8x32_epi32(d, _mm256_set1_epi32(3)), 0xF0);
-  d = _mm256_add_epi32(d, carry);
-  const __m256i vals =
-      _mm256_add_epi32(d, _mm256_set1_epi32(static_cast<int>(prev)));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), vals);
-  return dst[e.lanes - 1];
-}
-
-// Eight single-byte zigzag deltas at `p`: decode, prefix-sum, store to
-// `dst`; returns the running prefix after the group. A free function (a
-// lambda would not inherit the caller's target attribute under GCC).
-__attribute__((target("avx2"))) inline uint32_t Vector8ZigzagDeltas(
-    const uint8_t* p, uint32_t prev, uint32_t* dst) {
-  const __m256i one = _mm256_set1_epi32(1);
-  const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-  const __m256i z = _mm256_cvtepu8_epi32(raw);
-  // Zigzag decode: (z >> 1) ^ -(z & 1).
-  __m256i d = _mm256_xor_si256(
-      _mm256_srli_epi32(z, 1),
-      _mm256_sub_epi32(_mm256_setzero_si256(), _mm256_and_si256(z, one)));
-  // In-lane prefix sum, then carry lane 3 into the upper half.
-  d = _mm256_add_epi32(d, _mm256_slli_si256(d, 4));
-  d = _mm256_add_epi32(d, _mm256_slli_si256(d, 8));
-  const __m256i carry = _mm256_blend_epi32(
-      _mm256_setzero_si256(),
-      _mm256_permutevar8x32_epi32(d, _mm256_set1_epi32(3)), 0xF0);
-  d = _mm256_add_epi32(d, carry);
-  const __m256i vals =
-      _mm256_add_epi32(d, _mm256_set1_epi32(static_cast<int>(prev)));
-  _mm256_storeu_si256(reinterpret_cast<__m256i*>(dst), vals);
-  return dst[7];
-}
-
-__attribute__((target("avx2"))) void DecodeVarintDeltaAvx2(
-    const uint8_t* in, uint64_t bytes, uint32_t count, uint32_t base,
-    uint32_t* out) {
-  uint32_t prev = base;
-
-  if (bytes == count) {  // all single-byte: no length parsing needed
-    uint32_t i = 0;
-    for (; i + 8 <= count; i += 8) {
-      prev = Vector8ZigzagDeltas(in + i, prev, out + i);
-    }
-    for (; i < count; ++i) {
-      const uint32_t z = in[i];
-      prev += static_cast<uint32_t>(static_cast<int32_t>(z >> 1) ^
-                                    -static_cast<int32_t>(z & 1));
-      out[i] = prev;
-    }
-    return;
-  }
-
-  constexpr uint64_t kMsbs = 0x8080808080808080ull;
-  constexpr uint64_t kPayload = 0x7f7f7f7f7f7f7f7full;
-  const uint8_t* p = in;
-  const uint8_t* end = in + bytes;
-  uint32_t i = 0;
-  // Payload mask per varint length; index 8 covers a terminator in the
-  // word's last byte (shifting by 64 would be UB).
-  static constexpr uint64_t kLenMask[9] = {
-      0,          0xff,         0xffff,         0xffffff,        0xffffffff,
-      0xffffffffff, 0xffffffffffff, 0xffffffffffffff, ~0ull};
-  // MSB pattern of four consecutive two-byte varints (continuation byte,
-  // then terminator, four times): the dominant shape for unsorted narrow
-  // blocks, whose zigzag deltas land in [128, 16384).
-  constexpr uint64_t k2ByteMsbs = 0x0080008000800080ull;
-  while (i < count && p + 8 <= end) {
-    const uint64_t word = Load64(p);
-    const uint64_t msbs = word & kMsbs;
-    // Homogeneous words first: on runs of equal-length varints these
-    // branches predict, so the pointer advance is speculated and the
-    // load → shuffle-table → advance data chain never forms. The table
-    // handles only the irregular words where prediction would fail
-    // anyway.
-    if (msbs == 0 && i + 8 <= count) {  // eight single-byte varints
-      prev = Vector8ZigzagDeltas(p, prev, out + i);
-      p += 8;
-      i += 8;
-      continue;
-    }
-    if (msbs == k2ByteMsbs && i + 4 <= count) {  // four two-byte varints
-      // Splice each payload inside its own 16-bit lane, then zigzag and
-      // prefix-add the four lanes — constant shifts, no length parsing.
-      const uint64_t zs = (word & 0x007f007f007f007full) |
-                          ((word >> 1) & 0x3f803f803f803f80ull);
-      const uint32_t z0 = static_cast<uint32_t>(zs) & 0xffff;
-      const uint32_t z1 = static_cast<uint32_t>(zs >> 16) & 0xffff;
-      const uint32_t z2 = static_cast<uint32_t>(zs >> 32) & 0xffff;
-      const uint32_t z3 = static_cast<uint32_t>(zs >> 48);
-      prev += (z0 >> 1) ^ (0 - (z0 & 1));
-      out[i] = prev;
-      prev += (z1 >> 1) ^ (0 - (z1 & 1));
-      out[i + 1] = prev;
-      prev += (z2 >> 1) ^ (0 - (z2 & 1));
-      out[i + 2] = prev;
-      prev += (z3 >> 1) ^ (0 - (z3 & 1));
-      out[i + 3] = prev;
-      p += 8;
-      i += 4;
-      continue;
-    }
-    // Irregular word: gather every complete 1-/2-byte varint in one
-    // masked-vbyte shuffle step (the movemask's upper bits are zero:
-    // the 8-byte load zero-extends to the full vector).
-    const __m128i raw = _mm_loadl_epi64(reinterpret_cast<const __m128i*>(p));
-    const VbyteEntry& e =
-        kVbyteTable[static_cast<unsigned>(_mm_movemask_epi8(raw)) & 0xff];
-    if (e.lanes != 0 && i + 8 <= count) {
-      prev = DecodeVbyteWord(p, e, prev, out + i);
-      p += e.consumed;
-      i += e.lanes;
-      continue;
-    }
-    // Long varint at the word start (rare FOR outlier delta), or fewer
-    // than 8 values left — decode one varint via tzcnt + shift-OR chain.
-    const uint64_t terminators = ~word & kMsbs;
-    if (terminators == 0) break;  // > 8-byte varint: corrupt; go serial
-    const unsigned len =
-        (static_cast<unsigned>(std::countr_zero(terminators)) >> 3) + 1;
-    const uint64_t w = word & kPayload & kLenMask[len];
-    const uint64_t z = (w & 0x7f) | ((w >> 1) & (0x7full << 7)) |
-                       ((w >> 2) & (0x7full << 14)) |
-                       ((w >> 3) & (0x7full << 21)) |
-                       ((w >> 4) & (0x7full << 28)) |
-                       ((w >> 5) & (0x7full << 35));
-    prev += static_cast<uint32_t>(
-        (z >> 1) ^ (0 - static_cast<uint64_t>(z & 1)));
-    out[i++] = prev;
-    p += len;
-  }
-  // Byte-serial tail (and corrupt-stream fallback).
-  for (; i < count; ++i) {
-    uint64_t z = 0;
-    int shift = 0;
-    while (*p & 0x80) {
-      z |= static_cast<uint64_t>(*p & 0x7f) << shift;
-      shift += 7;
-      ++p;
-    }
-    z |= static_cast<uint64_t>(*p) << shift;
-    ++p;
-    prev += static_cast<uint32_t>(
-        (z >> 1) ^ (0 - static_cast<uint64_t>(z & 1)));
-    out[i] = prev;
-  }
-}
-
-#endif  // KGOA_KERNELS_X86
-
-// ---------------------------------------------------------------------------
 // Branchless sorted search
 // ---------------------------------------------------------------------------
 
@@ -446,45 +154,17 @@ uint32_t LowerBoundStridedScalar(const uint32_t* base, uint32_t stride,
 
 #if KGOA_KERNELS_X86
 
-// Vector tail sizes: narrow with cmov steps until the window fits a
+// Vector tail size: narrow with cmov steps until the window fits a
 // handful of vector compares, then count elements < v branchlessly
-// (sortedness makes the count the lower-bound index). The window is
-// tuned per lane count — 4-lane SSE amortizes fewer sweep iterations
-// than 8-lane AVX2 before the cmov steps win.
-constexpr uint32_t kVectorSearchWindowSse = 32;
-constexpr uint32_t kVectorSearchWindowAvx = 128;
-
-__attribute__((target("sse4.2"))) uint32_t LowerBoundSse42(
-    const uint32_t* vals, uint32_t n, uint32_t v) {
-  const uint32_t* base = vals;
-  uint32_t len = n;
-  while (len > kVectorSearchWindowSse) {
-    const uint32_t half = len / 2;
-    base += (base[half - 1] < v) ? half : 0;
-    len -= half;
-  }
-  const __m128i bias = _mm_set1_epi32(static_cast<int>(0x80000000u));
-  const __m128i pivot =
-      _mm_xor_si128(_mm_set1_epi32(static_cast<int>(v)), bias);
-  uint32_t count = 0;
-  uint32_t i = 0;
-  for (; i + 4 <= len; i += 4) {
-    const __m128i x = _mm_xor_si128(
-        _mm_loadu_si128(reinterpret_cast<const __m128i*>(base + i)), bias);
-    const __m128i lt = _mm_cmplt_epi32(x, pivot);
-    count += static_cast<uint32_t>(
-        __builtin_popcount(_mm_movemask_ps(_mm_castsi128_ps(lt))));
-  }
-  for (; i < len; ++i) count += base[i] < v;
-  return static_cast<uint32_t>(base - vals) + count;
-}
+// (sortedness makes the count the lower-bound index).
+constexpr uint32_t kVectorSearchWindow = 128;
 
 __attribute__((target("avx2"))) uint32_t LowerBoundAvx2(const uint32_t* vals,
                                                         uint32_t n,
                                                         uint32_t v) {
   const uint32_t* base = vals;
   uint32_t len = n;
-  while (len > kVectorSearchWindowAvx) {
+  while (len > kVectorSearchWindow) {
     const uint32_t half = len / 2;
     base += (base[half - 1] < v) ? half : 0;
     len -= half;
@@ -546,51 +226,26 @@ __attribute__((target("avx2"))) uint32_t LowerBoundStridedAvx2(
 
 }  // namespace
 
-void UnpackBits(const uint8_t* in, const uint8_t* in_end, uint32_t count,
-                uint32_t base, uint32_t width, uint32_t* out) {
+void UnpackBits(const uint8_t* in, [[maybe_unused]] const uint8_t* in_end,
+                uint32_t count, uint32_t base, uint32_t width,
+                uint32_t* out) {
   KGOA_DCHECK_LE(width, 32u);
-  switch (CurrentSimdLevel()) {
 #if KGOA_KERNELS_X86
-    case SimdLevel::kAvx2:
-      UnpackBitsAvx2(in, in_end, count, base, width, out);
-      return;
-#endif
-    case SimdLevel::kSse42:
-      UnpackBits64(in, in_end, count, base, width, out);
-      return;
-    default:
-      UnpackBitsScalarFrom(in, 0, count, base, width, out);
-      return;
+  if (CurrentSimdLevel() == SimdLevel::kAvx2) {
+    UnpackBitsAvx2(in, in_end, count, base, width, out);
+    return;
   }
-}
-
-void DecodeVarintDelta(const uint8_t* in, uint64_t bytes, uint32_t count,
-                       uint32_t base, uint32_t* out) {
-  switch (CurrentSimdLevel()) {
-#if KGOA_KERNELS_X86
-    case SimdLevel::kAvx2:
-      DecodeVarintDeltaAvx2(in, bytes, count, base, out);
-      return;
 #endif
-    default:
-      // Varint parse is serial below AVX2; the byte length is unused.
-      (void)bytes;
-      DecodeVarintDeltaScalar(in, count, base, out);
-      return;
-  }
+  UnpackBitsScalarFrom(in, 0, count, base, width, out);
 }
 
 uint32_t LowerBoundU32(const uint32_t* vals, uint32_t n, uint32_t v) {
-  switch (CurrentSimdLevel()) {
 #if KGOA_KERNELS_X86
-    case SimdLevel::kAvx2:
-      return LowerBoundAvx2(vals, n, v);
-    case SimdLevel::kSse42:
-      return LowerBoundSse42(vals, n, v);
-#endif
-    default:
-      return LowerBoundScalar(vals, n, v);
+  if (CurrentSimdLevel() == SimdLevel::kAvx2) {
+    return LowerBoundAvx2(vals, n, v);
   }
+#endif
+  return LowerBoundScalar(vals, n, v);
 }
 
 uint32_t UpperBoundU32(const uint32_t* vals, uint32_t n, uint32_t v) {
@@ -603,14 +258,12 @@ uint32_t UpperBoundU32(const uint32_t* vals, uint32_t n, uint32_t v) {
 uint32_t LowerBoundStridedU32(const uint32_t* base, uint32_t stride,
                               uint32_t n, uint32_t v) {
   KGOA_DCHECK_GT(stride, 0u);
-  switch (CurrentSimdLevel()) {
 #if KGOA_KERNELS_X86
-    case SimdLevel::kAvx2:
-      return LowerBoundStridedAvx2(base, stride, n, v);
-#endif
-    default:
-      return LowerBoundStridedScalar(base, stride, n, v);
+  if (CurrentSimdLevel() == SimdLevel::kAvx2) {
+    return LowerBoundStridedAvx2(base, stride, n, v);
   }
+#endif
+  return LowerBoundStridedScalar(base, stride, n, v);
 }
 
 uint32_t UpperBoundStridedU32(const uint32_t* base, uint32_t stride,

@@ -1,14 +1,14 @@
 // SIMD kernel layer for the index hot path.
 //
-// Three data-plane primitives dominate the walk inner loop after PR 7:
-// block decode (frame-of-reference bit-unpack and zigzag varint-delta),
-// sorted search inside a decoded 128-entry block (the tail of every
+// Three data-plane primitives dominate the walk inner loop: block decode
+// (frame-of-reference bit-unpack, the block tier's one encoding), sorted
+// search inside a decoded 128-entry block (the tail of every
 // SeekGE/SeekGT and the galloping tails on the raw tier), and hash-table
 // probes issued one walk at a time. This header is the single entry point
-// for all three, each dispatched at runtime over scalar / SSE4.2 / AVX2
-// implementations (src/util/simd.h picks the level once from cpuid and
-// KGOA_SIMD; the scalar path is the portable fallback and the
-// differential-test baseline).
+// for all three. Decode and search dispatch at runtime over two levels,
+// scalar and AVX2 (src/util/simd.h picks the level once from cpuid and
+// KGOA_SIMD). The scalar path is the only one on hosts without AVX2 and
+// the differential-test reference; every AVX2 host runs the AVX2 path.
 //
 // Every kernel is a pure function of its inputs: the differential suites
 // (tests/kernels_test.cc) and the block-codec fuzzer run identical inputs
@@ -42,14 +42,6 @@ namespace kernels {
 // `base`.
 void UnpackBits(const uint8_t* in, const uint8_t* in_end, uint32_t count,
                 uint32_t base, uint32_t width, uint32_t* out);
-
-// Zigzag varint-delta prefix decode: `count` LEB128 zigzag deltas seeded
-// at `base` (the block minimum), occupying exactly `bytes` encoded bytes.
-// The byte length is what enables the vector fast path: bytes == count
-// means every varint is a single byte, so eight deltas decode and
-// prefix-sum per step.
-void DecodeVarintDelta(const uint8_t* in, uint64_t bytes, uint32_t count,
-                       uint32_t base, uint32_t* out);
 
 // ---------------------------------------------------------------------------
 // Branchless sorted search
@@ -97,17 +89,6 @@ void PrefetchPipeline(std::size_t n, PrefetchFn&& prefetch,
     if (i + depth < n) prefetch(i + depth);
     consume(i);
   }
-}
-
-// Batched table probe: out-of-order prefetch, in-order Find. Works with
-// any table exposing Prefetch(key) and Find(key) (FlatTable,
-// ShardedFlatTable). `consume(i, value_ptr)` runs in index order.
-template <typename Table, typename Key, typename ConsumeFn>
-void ProbeBatch(const Table& table, const Key* keys, std::size_t n,
-                ConsumeFn&& consume) {
-  PrefetchPipeline(
-      n, [&](std::size_t i) { table.Prefetch(keys[i]); },
-      [&](std::size_t i) { consume(i, table.Find(keys[i])); });
 }
 
 }  // namespace kernels

@@ -11,11 +11,11 @@
 // contract. The raw tier keeps the sorted Triple array itself. The block
 // tier (CompressToBlockTier) re-stores each level as an independently
 // compressed BlockedColumn of 128-entry blocks (frame-of-reference
-// bit-packing or zigzag varint-delta, chosen per block) and frees the
-// raw array; Narrow/SeekGE/BlockEnd then run on the block directory
-// (block-max skipping in place of galloping) and return the exact same
-// positions, so every engine above — and the estimates they produce —
-// is bit-identical across tiers.
+// bit-packing at each block's exact bit width) and frees the raw array;
+// Narrow/SeekGE/BlockEnd then run on the block directory (block-max
+// skipping in place of galloping) and return the exact same positions,
+// so every engine above — and the estimates they produce — is
+// bit-identical across tiers.
 #ifndef KGOA_INDEX_TRIE_INDEX_H_
 #define KGOA_INDEX_TRIE_INDEX_H_
 

@@ -17,7 +17,7 @@ struct GroupBound {
 
 void TopKTracker::Update(const GroupedEstimates& merged) {
   if (!enabled()) return;
-  if (merged.walks() < options_.min_walks) return;
+  if (merged.walks() < kTopKMinWalks) return;
 
   std::vector<GroupBound> bounds;
   {

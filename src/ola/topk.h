@@ -29,15 +29,16 @@
 
 namespace kgoa {
 
+// No pruning and no convergence signal before this many merged walks:
+// early intervals are too loose to trust the K-th lower bound.
+inline constexpr uint64_t kTopKMinWalks = 1024;
+
 struct TopKOptions {
   // Number of displayed chart groups. 0 disables top-K serving entirely.
   int k = 0;
   // A displayed group counts as converged when its CI half-width is
   // within this fraction of its estimate.
   double ci_target = 0.05;
-  // No pruning and no convergence signal before this many walks: early
-  // intervals are too loose to trust the K-th lower bound.
-  uint64_t min_walks = 1024;
 };
 
 // Immutable snapshot of the groups pruned out of top-K contention.
@@ -76,7 +77,7 @@ class TopKTracker {
   // Recomputes bounds from a merged estimate snapshot. Displayed set =
   // top K by (estimate desc, group id asc) — the id tiebreak keeps the
   // set deterministic. Pruned = {g not displayed : hi(g) < lo(K-th)}.
-  // Converged = walks >= min_walks, every displayed group's relative CI
+  // Converged = walks >= kTopKMinWalks, every displayed group's relative CI
   // within ci_target, and every seen non-displayed group separated.
   void Update(const GroupedEstimates& merged);
 

@@ -12,7 +12,6 @@ SimdLevel DetectCpuLevel() {
 #if defined(__x86_64__) || defined(__i386__)
   // __builtin_cpu_supports reads cpuid once per process under the hood.
   if (__builtin_cpu_supports("avx2")) return SimdLevel::kAvx2;
-  if (__builtin_cpu_supports("sse4.2")) return SimdLevel::kSse42;
 #endif
   return SimdLevel::kScalar;
 }
@@ -23,9 +22,6 @@ SimdLevel EnvCap() {
   if (std::strcmp(env, "off") == 0 || std::strcmp(env, "scalar") == 0 ||
       std::strcmp(env, "0") == 0) {
     return SimdLevel::kScalar;
-  }
-  if (std::strcmp(env, "sse4.2") == 0 || std::strcmp(env, "sse42") == 0) {
-    return SimdLevel::kSse42;
   }
   // "avx2", "on", or anything unrecognized: the default (full) cap —
   // an unknown value must not silently disable the fast path.
@@ -49,8 +45,6 @@ const char* SimdLevelName(SimdLevel level) {
   switch (level) {
     case SimdLevel::kScalar:
       return "scalar";
-    case SimdLevel::kSse42:
-      return "sse4.2";
     case SimdLevel::kAvx2:
       return "avx2";
   }

@@ -1,18 +1,18 @@
 // Runtime SIMD dispatch for the index kernel layer (src/index/kernels.h).
 //
-// The kernels ship three implementations — portable scalar, SSE4.2 and
-// AVX2 — compiled with per-function target attributes so the library
-// itself builds without -march flags and stays runnable on any x86-64
-// (and, through the scalar fallback, on any architecture at all). The
-// level is picked ONCE, at first use, from cpuid (__builtin_cpu_supports)
-// and the KGOA_SIMD environment variable:
+// The kernels ship two implementations — portable scalar and AVX2 —
+// compiled with per-function target attributes so the library itself
+// builds without -march flags and stays runnable on any x86-64 (and,
+// through the scalar fallback, on any architecture at all). The level is
+// picked ONCE, at first use, from cpuid (__builtin_cpu_supports) and the
+// KGOA_SIMD environment variable:
 //
 //   KGOA_SIMD=off | scalar   force the portable scalar path
-//   KGOA_SIMD=sse4.2         cap at SSE4.2 even when AVX2 is available
-//   KGOA_SIMD=avx2 | on      cap at AVX2 (the default cap)
+//   KGOA_SIMD=avx2 | on      cap at AVX2 (the default cap; any other
+//                            value gets it too)
 //
 // A requested level is always clamped to what the CPU supports, so
-// setting KGOA_SIMD=avx2 on an SSE-only machine degrades gracefully
+// setting KGOA_SIMD=avx2 on a machine without AVX2 degrades to scalar
 // instead of faulting. Tests drive both paths in one process through
 // SetSimdLevel (same clamping); differential suites and the block-codec
 // fuzzer compare every kernel's output across levels bit for bit.
@@ -26,10 +26,12 @@
 namespace kgoa {
 
 // Ordered: a higher level implies every lower level's instruction set.
-enum class SimdLevel : int { kScalar = 0, kSse42 = 1, kAvx2 = 2 };
+// The values are exported (`simd.level`, `kernels.simd_level`) and stay
+// fixed, so traces and BENCH artifacts recorded at any time compare.
+enum class SimdLevel : int { kScalar = 0, kAvx2 = 2 };
 
-// Human-readable level name ("scalar", "sse4.2", "avx2") for metrics and
-// bench output.
+// Human-readable level name ("scalar", "avx2") for metrics and bench
+// output.
 const char* SimdLevelName(SimdLevel level);
 
 // The dispatch level in effect: resolved on first call from cpuid and

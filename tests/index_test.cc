@@ -489,10 +489,10 @@ TEST(IndexRandom, RangesAgreeWithScans) {
 // Block codec (src/index/block_codec.h)
 // ---------------------------------------------------------------------------
 
-// Decode-what-you-encode across the value shapes that steer the per-block
-// codec choice: constant blocks (0-bit FOR), narrow bands (bit-packing),
-// sorted small-gap runs (varint-delta), wide random values, and the
-// partial-last-block sizes around the 128-value boundary.
+// Decode-what-you-encode across value shapes that span the block bit
+// widths: constant blocks (0-bit FOR), narrow bands and sorted small-gap
+// runs (narrow widths), wide random values, rare outliers (wide widths),
+// and the partial-last-block sizes around the 128-value boundary.
 TEST(BlockCodec, RoundTripProperty) {
   Rng rng(2024);
   const uint32_t sizes[] = {0, 1, 63, 127, 128, 129, 255, 256, 1000, 4096};

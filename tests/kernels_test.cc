@@ -2,18 +2,17 @@
 //
 // Every kernel is a pure function of its inputs, so the suites here run
 // identical inputs through every dispatch level the host CPU supports
-// (scalar always; SSE4.2/AVX2 when available) and require bit-identical
-// outputs — the scalar path is the reference. Inputs are adversarial for
-// the codecs: constant blocks (0-bit FOR), max-width values, outlier
-// deltas (multi-byte varints poisoning the single-byte fast path), and
-// the short final block around the 128-value boundary.
+// (scalar always; AVX2 when available) and require bit-identical outputs
+// — the scalar path is the reference. Inputs are adversarial for the
+// codec: constant blocks (0-bit FOR), max-width values, outliers that
+// widen a narrow block, and the short final block around the 128-value
+// boundary.
 #include <algorithm>
 #include <vector>
 
 #include <gtest/gtest.h>
 
 #include "src/index/block_codec.h"
-#include "src/index/flat_table.h"
 #include "src/index/kernels.h"
 #include "src/util/rng.h"
 #include "src/util/simd.h"
@@ -25,9 +24,9 @@ namespace {
 // reference the others are diffed against).
 std::vector<SimdLevel> SupportedLevels() {
   std::vector<SimdLevel> levels = {SimdLevel::kScalar};
-  const SimdLevel max = MaxSupportedSimdLevel();
-  if (max >= SimdLevel::kSse42) levels.push_back(SimdLevel::kSse42);
-  if (max >= SimdLevel::kAvx2) levels.push_back(SimdLevel::kAvx2);
+  if (MaxSupportedSimdLevel() == SimdLevel::kAvx2) {
+    levels.push_back(SimdLevel::kAvx2);
+  }
   return levels;
 }
 
@@ -61,17 +60,6 @@ std::vector<uint8_t> PackBits(const std::vector<uint32_t>& deltas,
   }
   if (bits > 0) out.push_back(static_cast<uint8_t>(acc));
   return out;
-}
-
-// Reference zigzag LEB128 appender (same wire format as the encoder).
-void AppendZigzagVarint(int64_t delta, std::vector<uint8_t>& out) {
-  uint64_t z = (static_cast<uint64_t>(delta) << 1) ^
-               static_cast<uint64_t>(delta >> 63);
-  while (z >= 0x80) {
-    out.push_back(static_cast<uint8_t>(z) | 0x80);
-    z >>= 7;
-  }
-  out.push_back(static_cast<uint8_t>(z));
 }
 
 TEST(KernelsUnpackBits, AllWidthsAllLevelsMatchScalar) {
@@ -141,54 +129,9 @@ TEST(KernelsUnpackBits, TightPayloadEndDoesNotOverread) {
   }
 }
 
-TEST(KernelsVarintDelta, SingleByteFastPathAndOutliersMatchScalar) {
-  ScopedSimdLevel guard;
-  Rng rng(23);
-  for (int shape = 0; shape < 3; ++shape) {
-    for (const uint32_t count : {1u, 8u, 9u, 63u, 127u, 128u}) {
-      const uint32_t base = 1000;
-      std::vector<uint32_t> values(count);
-      int64_t prev = base;
-      std::vector<uint8_t> encoded;
-      int64_t running = base;
-      for (uint32_t i = 0; i < count; ++i) {
-        int64_t delta = 0;
-        switch (shape) {
-          case 0:  // single-byte zigzag deltas: the vector fast path
-            delta = static_cast<int64_t>(rng.Below(64)) - 31;
-            break;
-          case 1:  // outlier deltas: multi-byte varints, fast path off
-            delta = rng.Below(8) == 0
-                        ? static_cast<int64_t>(rng.Below(1u << 20))
-                        : static_cast<int64_t>(rng.Below(4));
-            break;
-          default:  // alternating sign, boundary magnitudes (63/64)
-            delta = (i % 2 == 0) ? 63 : -64;
-            break;
-        }
-        // Keep the prefix sum inside uint32 range.
-        if (running + delta < 0) delta = -delta;
-        running += delta;
-        values[i] = static_cast<uint32_t>(running);
-        AppendZigzagVarint(values[i] - prev, encoded);
-        prev = values[i];
-      }
-      for (const SimdLevel level : SupportedLevels()) {
-        SetSimdLevel(level);
-        std::vector<uint32_t> got(count, 0xdeadbeef);
-        kernels::DecodeVarintDelta(encoded.data(), encoded.size(), count,
-                                   base, got.data());
-        ASSERT_EQ(got, values)
-            << "level " << SimdLevelName(level) << " shape " << shape
-            << " count " << count;
-      }
-    }
-  }
-}
-
 // End-to-end decode differential through the real encoder: every block of
-// a BlockedColumn decodes bit-identically at every level, over the value
-// shapes that steer the per-block codec choice.
+// a BlockedColumn decodes bit-identically at every level, over value
+// shapes that span the bit widths the encoder picks.
 TEST(KernelsDecode, BlockedColumnDecodesIdenticallyAcrossLevels) {
   ScopedSimdLevel guard;
   Rng rng(31);
@@ -206,11 +149,11 @@ TEST(KernelsDecode, BlockedColumnDecodesIdenticallyAcrossLevels) {
           case 1:  // wide random: max-width packing
             values[i] = static_cast<uint32_t>(rng.Next());
             break;
-          case 2:  // sorted small gaps: varint-delta single-byte
+          case 2:  // sorted small gaps: narrow bit-packed widths
             running += static_cast<uint32_t>(rng.Below(4));
             values[i] = running;
             break;
-          default:  // narrow with rare outliers: FOR poison
+          default:  // narrow with rare outliers: wide FOR blocks
             values[i] = rng.Below(50) == 0
                             ? (1u << 30) + static_cast<uint32_t>(rng.Below(9))
                             : static_cast<uint32_t>(rng.Below(16));
@@ -244,7 +187,8 @@ TEST(KernelsDecode, BlockedColumnDecodesIdenticallyAcrossLevels) {
 TEST(KernelsLowerBound, MatchesStdAcrossLevelsAndWindowBoundaries) {
   ScopedSimdLevel guard;
   Rng rng(47);
-  // Sizes bracket the SSE (32) and AVX2 (128) final-window widths.
+  // Sizes bracket the AVX2 final-window width (128) and straddle its
+  // 8-lane sweep.
   const uint32_t sizes[] = {0,  1,  2,   31,  32,  33,  64,
                             96, 127, 128, 129, 200, 300, 1000};
   for (const uint32_t n : sizes) {
@@ -317,37 +261,6 @@ TEST(KernelsLowerBoundStrided, MatchesDenseReference) {
             << "level " << SimdLevelName(level) << " n " << n << " v " << v;
       }
     }
-  }
-}
-
-// ProbeBatch: prefetch is a pure hint, Find runs in index order — results
-// must match serial probing exactly, including misses, at every batch
-// size around the pipeline depth.
-TEST(KernelsProbeBatch, MatchesSerialFinds) {
-  FlatTable<uint64_t, uint32_t> table(/*empty_key=*/~0ull);
-  constexpr uint32_t kEntries = 500;
-  table.Reset(kEntries);
-  for (uint32_t i = 0; i < kEntries; ++i) {
-    table.InsertUnique(i * 2 + 1) = i;  // odd keys present, even absent
-  }
-  Rng rng(61);
-  for (const std::size_t n :
-       {std::size_t{0}, std::size_t{1}, kernels::kProbePrefetchDepth - 1,
-        kernels::kProbePrefetchDepth, kernels::kProbePrefetchDepth + 1,
-        std::size_t{100}}) {
-    std::vector<uint64_t> keys(n);
-    for (uint64_t& k : keys) k = rng.Below(2 * kEntries);
-    std::vector<const uint32_t*> serial(n);
-    for (std::size_t i = 0; i < n; ++i) serial[i] = table.Find(keys[i]);
-    std::vector<const uint32_t*> batched(n, nullptr);
-    std::size_t calls = 0;
-    kernels::ProbeBatch(table, keys.data(), n,
-                        [&](std::size_t i, const uint32_t* value) {
-                          ASSERT_EQ(i, calls++);  // strict index order
-                          batched[i] = value;
-                        });
-    ASSERT_EQ(calls, n);
-    ASSERT_EQ(batched, serial);
   }
 }
 

@@ -224,8 +224,7 @@ TEST_F(ParallelTest, BatchWidthsAndSimdLevelsBitIdentical) {
     const ChainQuery query = Fig5(/*distinct=*/audit_join);
     GroupedEstimates reference;
     bool have_reference = false;
-    for (const SimdLevel level :
-         {SimdLevel::kScalar, SimdLevel::kSse42, SimdLevel::kAvx2}) {
+    for (const SimdLevel level : {SimdLevel::kScalar, SimdLevel::kAvx2}) {
       SetSimdLevel(level);  // clamped to what the CPU supports
       for (const uint32_t batch : {1u, 2u, 32u, 101u}) {
         SCOPED_TRACE(::testing::Message()

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <memory>
 #include <string>
@@ -357,7 +358,6 @@ TEST(TopKServeTest, DeadlineModePrunesTailAndSelfFinishesOnConvergence) {
   options.tipping_threshold = 2.0;  // stochastic mode: real CIs
   options.top_k.k = 1;
   options.top_k.ci_target = 0.005;
-  options.top_k.min_walks = 256;
 
   // Run the full deadline (no self-finish) so walks keep flowing after
   // the first top-K refresh activates the filter.
@@ -436,25 +436,41 @@ TEST(TopKServeTest, ConcurrentSelfFinishingJobsAllComplete) {
 
 // Budget mode keeps the bit-identity contract: enabling top-K tracking
 // must not change the estimate (pruning is forced off — observe-only),
-// and no walks are ever counted as pruned.
+// and no walks are ever counted as pruned. The skewed chart separates its
+// tail well within kTopKMinWalks walks, and the first live snapshot past
+// that count holds its worker for two top-K refresh periods, so the
+// tracker refreshes past the threshold with quanta left to run: a budget
+// job wired to prune would prune them.
 TEST_F(ServeTest, BudgetModeTopKIsObserveOnly) {
-  const ChainQuery query = Fig5(true);
-  constexpr uint64_t kBudget = 2002;
+  const Graph graph = SkewedGraph();
+  IndexSet indexes(graph);
+  const ChainQuery query = SkewedQuery(graph);
   ServingCore::Options core_options;
   core_options.threads = 2;
-  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
 
   ChartJobOptions plain;
-  plain.walk_budget = kBudget;
+  plain.walk_budget = 64 * ServingCore::kQuantumWalks;
   plain.workers = 4;
   plain.seed = 17;
   plain.tipping_threshold = 2.0;
   ChartJobOptions tracked = plain;
-  tracked.top_k.k = 2;
-  tracked.top_k.min_walks = 64;
+  tracked.top_k.k = 1;
+  tracked.snapshot_period = 1e-4;
+  std::atomic<bool> held{false};
+  tracked.on_snapshot = [&held](const OlaSnapshot& snapshot) {
+    if (snapshot.final_snapshot || snapshot.walks < kTopKMinWalks ||
+        held.exchange(true)) {
+      return;
+    }
+    std::this_thread::sleep_for(std::chrono::milliseconds(20));
+  };
 
   const ParallelOlaResult without = core.Submit(query, plain).Await();
   const ParallelOlaResult with = core.Submit(query, tracked).Await();
+  ASSERT_TRUE(held.load());
+  // The tracker ran past kTopKMinWalks: it saw the display converge.
+  EXPECT_TRUE(with.displayed_converged);
   testing::ExpectBitIdentical(without.estimates, with.estimates);
   EXPECT_EQ(with.counters.pruned_walks, 0u);
 }
@@ -519,6 +535,21 @@ TEST_F(ServeTest, BackgroundTasksYieldToChartsAndAlwaysRun) {
   }
   EXPECT_EQ(late_runs.load(), 1);
   EXPECT_EQ(orphan.state(), ChartJobState::kCancelled);
+}
+
+// The explorer's metrics dump shows whether a background compaction ran:
+// `serve.tasks_run` is republished with the other serving counters on
+// the next chart submission.
+TEST_F(ServeTest, ExplorerExportsBackgroundTasksRun) {
+  Explorer explorer(testing::PaperExampleGraph());
+  explorer.CompactAsync().Await();
+  ExplorationSession session = explorer.NewSession();
+  ChartJobOptions options;
+  options.walk_budget = 512;
+  explorer.SubmitChart(session.BuildQuery(ExpansionKind::kOutProperty),
+                       options)
+      .Await();
+  EXPECT_EQ(explorer.metrics().Counter("serve.tasks_run"), 1u);
 }
 
 TEST(ChartJobStateNames, AreStable) {
