@@ -3,6 +3,9 @@
 // both), the amortized cost of the online Pr(a, b) computation (paper:
 // ~2.5us average thanks to caching), and the underlying index operations
 // (flat-table hash-range probes, CSR level-0 narrow, galloping seeks).
+// BM_AuditJoinWalkOverlay prices the delta overlay: Audit Join walks and
+// engine construction on a version with pending writes against a rebuilt
+// index of the same triples (EXPERIMENTS.md, write load).
 //
 // Besides the google-benchmark table, the binary ends with two
 // machine-readable JSON lines (the PR 1 convention):
@@ -19,6 +22,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
+#include <iterator>
+#include <map>
 #include <memory>
 #include <thread>
 #include <unordered_map>
@@ -26,11 +31,15 @@
 #include <benchmark/benchmark.h>
 
 #include "src/core/audit.h"
+#include "src/core/mutable_graph.h"
 #include "src/core/reach.h"
 #include "src/eval/registry.h"
+#include "src/eval/runner.h"
 #include "src/explore/session.h"
 #include "src/gen/kg_gen.h"
+#include "src/gen/workload.h"
 #include "src/index/index_set.h"
+#include "src/index/snapshot.h"
 #include "src/join/ctj.h"
 #include "src/ola/wander.h"
 #include "src/util/rng.h"
@@ -81,6 +90,116 @@ void BM_AuditJoinWalk(benchmark::State& state) {
       static_cast<double>(aj.estimates().walks());
 }
 BENCHMARK(BM_AuditJoinWalk)->Arg(0)->Arg(16)->Arg(64)->Arg(256);
+
+// Audit Join on an overlay view against a rebuilt index. The state is
+// write_mix's: the scale-0.5 graph, the seed-7 DISTINCT exploration
+// charts, and versions after 0, 1, 16 and 128 write batches of 256
+// changes, two inserts per delete (about 0, 256, 4,096 and 32,768 pending
+// changes; the `pending` counter reports the exact count). Each version's
+// triples are also rebuilt into a plain IndexSet. Built on first use, so
+// runs that filter this benchmark out (the quick bench smoke) never pay
+// for it.
+constexpr int kOverlayChanges[] = {0, 256, 4096, 32768};
+
+struct OverlayFixture {
+  struct Version {
+    GraphSnapshot view;
+    uint64_t pending = 0;
+    std::unique_ptr<Graph> rebuilt_graph;     // null for the clean version
+    std::unique_ptr<IndexSet> rebuilt;
+  };
+
+  OverlayFixture() : mutable_graph(GenerateKg(DbpediaLikeSpec(0.5))) {
+    const GraphSnapshot clean = mutable_graph.snapshot();
+    const std::vector<Triple>& base = clean.graph().triples();
+    WorkloadOptions options;
+    options.seed = 7;
+    options.num_paths = 10;
+    for (ExplorationQuery& eq :
+         GenerateWorkload(clean.graph(), clean.indexes(), options)) {
+      charts.push_back(eq.query.WithDistinct(true));
+    }
+    int batch = 0;
+    for (const int changes : kOverlayChanges) {
+      for (; batch < changes / 256; ++batch) {
+        Rng rng(static_cast<uint64_t>(batch));
+        std::vector<Triple> inserts;
+        std::vector<Triple> deletes;
+        for (int i = 0; i < 256; ++i) {
+          if (i % 3 == 2) {
+            deletes.push_back(base[rng.Below(base.size())]);
+          } else {
+            inserts.push_back(Triple{base[rng.Below(base.size())].s,
+                                     base[rng.Below(base.size())].p,
+                                     base[rng.Below(base.size())].o});
+          }
+        }
+        mutable_graph.Apply(inserts, deletes);
+      }
+      Version& version = versions[changes];
+      version.view = mutable_graph.snapshot();
+      const MutableGraph::Stats stats = mutable_graph.stats();
+      version.pending = stats.overlay_adds + stats.overlay_dels;
+      if (version.view.overlay() == nullptr) continue;
+      const PendingWrites& pending = version.view.overlay()->pending();
+      std::vector<Triple> live;
+      std::set_difference(base.begin(), base.end(), pending.dels.begin(),
+                          pending.dels.end(), std::back_inserter(live),
+                          SpoLess);
+      live.insert(live.end(), pending.adds.begin(), pending.adds.end());
+      std::sort(live.begin(), live.end(), SpoLess);
+      version.rebuilt_graph = std::make_unique<Graph>(
+          Graph::Rebase(version.view.graph(), std::move(live)));
+      version.rebuilt = std::make_unique<IndexSet>(*version.rebuilt_graph);
+    }
+  }
+
+  MutableGraph mutable_graph;
+  std::vector<ChainQuery> charts;
+  std::map<int, Version> versions;
+};
+
+OverlayFixture& GetOverlayFixture() {
+  static OverlayFixture* fixture = new OverlayFixture();
+  return *fixture;
+}
+
+// Args: pending changes, then 0 = walk the view, 1 = walk the rebuilt
+// index (the clean version is its own rebuild). Each iteration is one walk
+// of the next chart in turn; construct_us is the mean AuditJoin
+// construction time per chart (plan, tipping estimator, reach memo).
+void BM_AuditJoinWalkOverlay(benchmark::State& state) {
+  OverlayFixture& f = GetOverlayFixture();
+  const OverlayFixture::Version& version =
+      f.versions.at(static_cast<int>(state.range(0)));
+  const IndexSet& indexes = state.range(1) == 0 || version.rebuilt == nullptr
+                                ? version.view.indexes()
+                                : *version.rebuilt;
+  std::vector<std::unique_ptr<AuditJoin>> engines;
+  Stopwatch clock;
+  for (const ChainQuery& chart : f.charts) {
+    AuditJoin::Options options;
+    options.walk_order = DefaultAuditOrder(chart);
+    engines.push_back(std::make_unique<AuditJoin>(indexes, chart, options));
+  }
+  const double construct_us =
+      clock.ElapsedMillis() * 1e3 / static_cast<double>(engines.size());
+  std::size_t next = 0;
+  for (auto _ : state) {
+    engines[next]->RunOneWalk();
+    next = next + 1 == engines.size() ? 0 : next + 1;
+  }
+  state.counters["pending"] = static_cast<double>(version.pending);
+  state.counters["construct_us"] = construct_us;
+}
+BENCHMARK(BM_AuditJoinWalkOverlay)
+    ->Apply([](benchmark::internal::Benchmark* b) {
+      for (const int changes : kOverlayChanges) {
+        b->Args({changes, 0});
+        b->Args({changes, 1});
+      }
+    })
+    ->ArgNames({"changes", "rebuilt"});
 
 void BM_ReachPrAbAmortized(benchmark::State& state) {
   Fixture& f = GetFixture();

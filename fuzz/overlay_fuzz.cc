@@ -7,9 +7,12 @@
 // merged view IndexSet), (2) through MutableGraph::Compact's fold, and
 // (3) through an independent from-scratch rebuild (Graph::Rebase over a
 // reference set the harness tracks itself). All three must agree on
-// membership, on exact join results (the full SeekGE/Narrow/BlockEnd
-// iterator contract through LFTJ and CTJ), and BIT-IDENTICALLY on
-// seeded walk estimates. Any disagreement aborts via KGOA_CHECK.
+// membership, on every range lookup and statistic the view answers from
+// the base hash tables (Depth1, Depth2, Ndv1, Ndv2, CountMatches,
+// CountDistinctVar), on exact join results (the full
+// SeekGE/Narrow/BlockEnd iterator contract through LFTJ and CTJ), and
+// BIT-IDENTICALLY on seeded walk estimates. Any disagreement aborts via
+// KGOA_CHECK.
 #include <algorithm>
 #include <cstddef>
 #include <cstdint>
@@ -45,6 +48,56 @@ void CheckEstimatesIdentical(const kgoa::GroupedEstimates& a,
                    "overlay estimate not bit-identical to rebuild");
     KGOA_CHECK_MSG(a.CiHalfWidth(group) == b.CiHalfWidth(group),
                    "overlay CI not bit-identical to rebuild");
+  }
+}
+
+// The view's lookups and statistics against the rebuilt index: equal
+// non-empty ranges (an empty range may sit anywhere on the view), equal
+// distinct counts, and equal pattern statistics for every constant mask
+// of every probe triple.
+void CheckViewLookups(const kgoa::IndexSet& view,
+                      const kgoa::IndexSet& rebuilt, uint32_t num_terms,
+                      const std::vector<kgoa::Triple>& probes) {
+  auto same = [](kgoa::Range got, kgoa::Range want) {
+    return want.empty() ? got.empty() : got == want;
+  };
+  for (kgoa::IndexOrder order : kgoa::kAllIndexOrders) {
+    KGOA_CHECK_MSG(view.Ndv1(order) == rebuilt.Ndv1(order),
+                   "view Ndv1 diverges from the rebuild");
+    for (kgoa::TermId v = 0; v < num_terms; ++v) {
+      KGOA_CHECK_MSG(same(view.Depth1(order, v), rebuilt.Depth1(order, v)),
+                     "view Depth1 diverges from the rebuild");
+      KGOA_CHECK_MSG(view.Ndv2(order, v) == rebuilt.Ndv2(order, v),
+                     "view Ndv2 diverges from the rebuild");
+    }
+    for (const kgoa::Triple& t : probes) {
+      const kgoa::TermId v0 = t[kgoa::OrderComponent(order, 0)];
+      const kgoa::TermId v1 = t[kgoa::OrderComponent(order, 1)];
+      KGOA_CHECK_MSG(
+          same(view.Depth2(order, v0, v1), rebuilt.Depth2(order, v0, v1)),
+          "view Depth2 diverges from the rebuild");
+    }
+  }
+  for (const kgoa::Triple& t : probes) {
+    for (uint32_t mask = 0; mask < 8; ++mask) {
+      auto slot = [&](int c) {
+        return (mask >> c & 1) != 0
+                   ? kgoa::Slot::MakeConst(t[c])
+                   : kgoa::Slot::MakeVar(static_cast<kgoa::VarId>(c));
+      };
+      const kgoa::TriplePattern pattern =
+          kgoa::MakePattern(slot(0), slot(1), slot(2));
+      KGOA_CHECK_MSG(view.CountMatches(pattern) ==
+                         rebuilt.CountMatches(pattern),
+                     "view CountMatches diverges from the rebuild");
+      for (int c = 0; c < 3; ++c) {
+        if ((mask >> c & 1) != 0) continue;
+        const kgoa::VarId var = static_cast<kgoa::VarId>(c);
+        KGOA_CHECK_MSG(view.CountDistinctVar(pattern, var) ==
+                           rebuilt.CountDistinctVar(pattern, var),
+                       "view CountDistinctVar diverges from the rebuild");
+      }
+    }
   }
 }
 
@@ -153,6 +206,13 @@ extern "C" int LLVMFuzzerTestOneInput(const uint8_t* data, std::size_t size) {
                        "overlay membership diverges from reference");
       }
     }
+  }
+
+  if (overlay.overlay() != nullptr) {
+    std::vector<kgoa::Triple> probes = base.graph().triples();
+    probes.insert(probes.end(), reference.begin(), reference.end());
+    CheckViewLookups(overlay.indexes(), rebuilt_indexes,
+                     static_cast<uint32_t>(rebuilt.dict().size()), probes);
   }
 
   // Exact joins drive the merged iterators through the full position-

@@ -13,18 +13,17 @@
 #                     kernel ablation: decode MB/s, in-block seeks/s and
 #                     hash probes/s scalar vs vectorized, plus end-to-end
 #                     time-to-CI scalar vs SIMD vs SIMD+batched walks.
-#   BENCH_update.json `update_trace` from update_load — time-to-CI and
-#                     MAE on a pinned snapshot while a writer applies
-#                     0% / 1% / 10% write mixes, plus compaction cost.
+#
+# Serving under writes has no artifact here: kgbench's write_mix workload
+# measures it with repetition and bounds (BENCHMARK.json).
 #
 # Usage: scripts/bench_json.sh [--quick] [reach_out.json] [serve_out.json]
 #                              [index_out.json] [kernels_out.json]
-#                              [update_out.json]
 #
 #   --quick    Smoke-sized runs (KGOA_BENCH_QUICK=1) — what tier1.sh runs.
 #   outputs    Default to BENCH_reach.json / BENCH_serve.json /
-#              BENCH_index.json / BENCH_kernels.json / BENCH_update.json
-#              in the repo root (the tracked copies).
+#              BENCH_index.json / BENCH_kernels.json in the repo root (the
+#              tracked copies).
 #
 # The build directory defaults to ./build; override with KGOA_BENCH_BUILD.
 # Each emitted JSON has the stable key set checked at the bottom of this
@@ -48,11 +47,10 @@ REACH_OUT="${OUTS[0]:-BENCH_reach.json}"
 SERVE_OUT="${OUTS[1]:-BENCH_serve.json}"
 INDEX_OUT="${OUTS[2]:-BENCH_index.json}"
 KERNELS_OUT="${OUTS[3]:-BENCH_kernels.json}"
-UPDATE_OUT="${OUTS[4]:-BENCH_update.json}"
 
 BUILD="${KGOA_BENCH_BUILD:-build}"
 for bin in micro_sample_time serve_concurrency index_memory \
-           kernel_throughput update_load; do
+           kernel_throughput; do
   if [[ ! -x "$BUILD/bench/$bin" ]]; then
     cmake --build "$BUILD" --target "$bin" -j "$(nproc)"
   fi
@@ -68,14 +66,12 @@ if [[ "$QUICK" == "1" ]]; then
   INDEX_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/index_memory" 2>/dev/null)
   KERNELS_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/kernel_throughput" \
                 2>/dev/null)
-  UPDATE_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/update_load" 2>/dev/null)
 else
   RAW=$("$BUILD/bench/micro_sample_time" --benchmark_filter='^BM_Reach' \
         2>/dev/null)
   SERVE_RAW=$("$BUILD/bench/serve_concurrency" 2>/dev/null)
   INDEX_RAW=$("$BUILD/bench/index_memory" 2>/dev/null)
   KERNELS_RAW=$("$BUILD/bench/kernel_throughput" 2>/dev/null)
-  UPDATE_RAW=$("$BUILD/bench/update_load" 2>/dev/null)
 fi
 
 echo "$RAW" | grep '^reach_trace ' | sed 's/^reach_trace //' > "$REACH_OUT"
@@ -85,11 +81,8 @@ echo "$INDEX_RAW" | grep '^index_trace ' | sed 's/^index_trace //' \
     > "$INDEX_OUT"
 echo "$KERNELS_RAW" | grep '^kernel_trace ' | sed 's/^kernel_trace //' \
     > "$KERNELS_OUT"
-echo "$UPDATE_RAW" | grep '^update_trace ' | sed 's/^update_trace //' \
-    > "$UPDATE_OUT"
 
-python3 - "$REACH_OUT" "$SERVE_OUT" "$INDEX_OUT" "$KERNELS_OUT" \
-    "$UPDATE_OUT" <<'EOF'
+python3 - "$REACH_OUT" "$SERVE_OUT" "$INDEX_OUT" "$KERNELS_OUT" <<'EOF'
 import json
 import sys
 
@@ -103,8 +96,7 @@ def require(path, trace, counters, gauges):
     if missing:
         sys.exit(f"bench_json.sh: {path} is missing stable keys: {missing}")
 
-reach_path, serve_path, index_path, kernels_path, update_path = (
-    sys.argv[1], sys.argv[2], sys.argv[3], sys.argv[4], sys.argv[5])
+reach_path, serve_path, index_path, kernels_path = sys.argv[1:5]
 
 reach = load(reach_path)
 require(reach_path, reach, {
@@ -181,24 +173,4 @@ print(f"bench_json.sh: wrote {kernels_path} "
       f"in-block seek {kernels['gauges']['kernels.seek_speedup']:.2f}x, "
       f"end-to-end {kernels['gauges']['kernels.e2e_speedup']:.2f}x "
       f"time-to-CI)")
-
-update = load(update_path)
-update_gauges = {"update.ci_target"}
-for m in ("w0", "w1", "w10"):
-    update_gauges |= {
-        f"update.{m}_seconds_to_ci", f"update.{m}_walks_to_ci",
-        f"update.{m}_mae", f"update.{m}_rel_mae",
-        f"update.{m}_write_triples", f"update.{m}_compact_seconds",
-    }
-update_gauges |= {"update.w1_slowdown", "update.w10_slowdown"}
-require(update_path, update, {
-    "update.threads", "epoch.current", "epoch.base_triples",
-    "epoch.live_triples", "epoch.overlay_adds", "epoch.overlay_dels",
-    "epoch.batches_applied", "epoch.compactions", "epoch.snapshots_pinned",
-}, update_gauges)
-print(f"bench_json.sh: wrote {update_path} "
-      f"(read-only={update['gauges']['update.w0_seconds_to_ci']*1e3:.0f} ms,"
-      f" 10% writes={update['gauges']['update.w10_seconds_to_ci']*1e3:.0f} ms"
-      f" ({update['gauges']['update.w10_slowdown']:.2f}x), compact="
-      f"{update['gauges']['update.w10_compact_seconds']*1e3:.0f} ms)")
 EOF

@@ -251,6 +251,8 @@ MutableGraph::Stats MutableGraph::stats() const {
   }
   MutexLock lock(publish_mutex_);
   stats.epoch = current_->epoch;
+  stats.overlay_bytes =
+      current_->overlay == nullptr ? 0 : current_->overlay->MemoryBytes();
   versions_.erase(
       std::remove_if(versions_.begin(), versions_.end(),
                      [](const std::weak_ptr<const GraphVersion>& v) {

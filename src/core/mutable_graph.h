@@ -121,6 +121,8 @@ class MutableGraph {
     uint64_t live_triples = 0;      // base − deletes + adds
     uint64_t overlay_adds = 0;
     uint64_t overlay_dels = 0;
+    // Resident size of the current version's overlay (0 when clean).
+    uint64_t overlay_bytes = 0;
     uint64_t batches_applied = 0;   // Apply calls that published
     uint64_t compactions = 0;
     // Published versions still pinned by at least one snapshot, job or

@@ -186,6 +186,7 @@ void ExportMetrics(const MutableGraph& mutable_graph, std::string_view prefix,
   registry->SetCounter(p + "live_triples", stats.live_triples);
   registry->SetCounter(p + "overlay_adds", stats.overlay_adds);
   registry->SetCounter(p + "overlay_dels", stats.overlay_dels);
+  registry->SetCounter(p + "overlay_bytes", stats.overlay_bytes);
   registry->SetCounter(p + "batches_applied", stats.batches_applied);
   registry->SetCounter(p + "compactions", stats.compactions);
   registry->SetCounter(p + "snapshots_pinned", stats.snapshots_pinned);

@@ -72,7 +72,8 @@ void ExportMetrics(const IndexSet& indexes, std::string_view prefix,
                    MetricsRegistry* registry);
 
 // Snapshot-epoch export ("epoch." by convention): current epoch, overlay
-// sizes, live/base triple counts, applied batches, compactions, and the
+// sizes (adds, deletes and the overlay's resident `overlay_bytes`),
+// live/base triple counts, applied batches, compactions, and the
 // published-versions-still-pinned gauge. Cumulative values are
 // republished with SetCounter.
 void ExportMetrics(const MutableGraph& mutable_graph, std::string_view prefix,

@@ -4,7 +4,6 @@
 #include <thread>
 #include <unordered_set>  // kgoa-lint: allow(unordered-in-hot-path) — cold ndv fallback below
 
-#include "src/index/delta.h"
 #include "src/index/radix.h"
 #include "src/util/contract.h"
 #include "src/util/stopwatch.h"
@@ -130,32 +129,12 @@ std::unique_ptr<IndexSet> IndexSet::MakeView(const IndexSet& base,
   view->tier_ = base.tier();
   view->indexes_.resize(kNumIndexOrders);
   view->hashes_.resize(kNumIndexOrders);  // all null: has_hash() == false
+  view->overlay_ = &overlay;
   for (IndexOrder order : kAllIndexOrders) {
     view->indexes_[static_cast<int>(order)] = std::make_unique<TrieIndex>(
         base.Index(order), overlay.Delta(order), overlay.ViewNumTerms());
   }
   return view;
-}
-
-Range IndexSet::Depth1(IndexOrder order, TermId v) const {
-  if (has_hash()) return Hash(order).Depth1(v);
-  return Index(order).Level0Range(v);
-}
-
-Range IndexSet::Depth2(IndexOrder order, TermId v0, TermId v1) const {
-  if (has_hash()) return Hash(order).Depth2(v0, v1);
-  const TrieIndex& index = Index(order);
-  const Range level0 = index.Level0Range(v0);
-  if (level0.empty()) return Range{};
-  return index.Narrow(level0, 1, v1);
-}
-
-uint64_t IndexSet::Ndv2(IndexOrder order, TermId v0) const {
-  if (has_hash()) return Hash(order).Ndv2(v0);
-  const TrieIndex& index = Index(order);
-  const Range level0 = index.Level0Range(v0);
-  if (level0.empty()) return 0;
-  return index.CountDistinct(level0, 1);
 }
 
 void IndexSet::PrefetchDepth1(IndexOrder order, TermId v) const {

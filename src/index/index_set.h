@@ -15,6 +15,7 @@
 #include <memory>
 #include <vector>
 
+#include "src/index/delta.h"
 #include "src/index/hash_range.h"
 #include "src/index/trie_index.h"
 #include "src/query/pattern.h"
@@ -37,8 +38,6 @@ struct IndexSetOptions {
   StorageTier tier = StorageTier::kRaw;
 };
 
-class DeltaOverlay;
-
 class IndexSet {
  public:
   // Builds all four orders. O(n) time (counting passes), 4x triple
@@ -51,9 +50,10 @@ class IndexSet {
 
   // Overlay VIEW over a built set: each order becomes a view TrieIndex
   // merging `base` with the overlay's OrderDelta (DESIGN.md §13). Views
-  // carry no hash range indexes (has_hash() is false) — the depth helpers
-  // below fall back to trie searches over the merged position space, so
-  // every access path keeps working with identical results. `base` and
+  // own no hash range indexes (has_hash() is false): the depth helpers and
+  // statistics below answer from the base's flat tables, shifted into the
+  // merged position space by the overlay in O(1), so every access path
+  // keeps working with identical results at base-index cost. `base` and
   // `overlay` must outlive the view (GraphVersion pins both).
   static std::unique_ptr<IndexSet> MakeView(const IndexSet& base,
                                             const DeltaOverlay& overlay);
@@ -68,24 +68,33 @@ class IndexSet {
     return *hashes_[static_cast<int>(order)];
   }
 
-  // False for overlay views, whose range lookups resolve through the trie
-  // helpers below instead of the flat hash tables. Callers outside this
-  // class must route depth lookups through Depth1/Depth2/Ndv2 rather than
-  // Hash() so views work everywhere (the hash tables index the BASE
-  // position space, which shifts under an overlay).
+  // False for overlay views. Their lookups read the BASE's hash tables,
+  // which index base positions, and translate the answers (delta.h), so
+  // Hash() is not theirs to expose. Callers outside this class must route
+  // depth lookups through Depth1/Depth2/Ndv2 rather than Hash() so views
+  // work everywhere.
   bool has_hash() const { return hashes_[0] != nullptr; }
 
   // Range of triples whose level-0 value is `v` under `order`: the flat
-  // hash table when present, the (view-aware) CSR path otherwise. Both
-  // answer in the same position space.
-  Range Depth1(IndexOrder order, TermId v) const;
+  // hash table, or on a view the base's table shifted into the merged
+  // space. O(1) either way; an absent key yields an empty range.
+  Range Depth1(IndexOrder order, TermId v) const {
+    if (has_hash()) return Hash(order).Depth1(v);
+    return overlay_->Delta(order).Depth1(v);
+  }
 
   // Range with the first two levels fixed to (v0, v1).
-  Range Depth2(IndexOrder order, TermId v0, TermId v1) const;
+  Range Depth2(IndexOrder order, TermId v0, TermId v1) const {
+    if (has_hash()) return Hash(order).Depth2(v0, v1);
+    return overlay_->Delta(order).Depth2(v0, v1);
+  }
 
-  // Distinct level-0 / level-1-under-v0 counts for `order`.
+  // Distinct level-0 / level-1-under-v0 counts for `order`. O(1).
   uint64_t Ndv1(IndexOrder order) const { return Index(order).Ndv1(); }
-  uint64_t Ndv2(IndexOrder order, TermId v0) const;
+  uint64_t Ndv2(IndexOrder order, TermId v0) const {
+    if (has_hash()) return Hash(order).Ndv2(v0);
+    return overlay_->Delta(order).Ndv2(v0);
+  }
 
   // Prefetch hints for the depth lookups above (no-ops without a hash).
   void PrefetchDepth1(IndexOrder order, TermId v) const;
@@ -148,6 +157,7 @@ class IndexSet {
   StorageTier tier_ = StorageTier::kRaw;
   std::vector<std::unique_ptr<TrieIndex>> indexes_;
   std::vector<std::unique_ptr<HashRangeIndex>> hashes_;
+  const DeltaOverlay* overlay_ = nullptr;  // views only
   IndexBuildStats stats_;
 };
 

@@ -59,7 +59,7 @@ TrieIndex::TrieIndex(const TrieIndex& base, const OrderDelta& delta,
       tier_(base.tier_),
       size_(base.size_ - delta.NumTombs() + delta.NumAdds()),
       num_terms_(num_terms),
-      ndv1_(delta.ViewNdv1()),
+      ndv1_(delta.Ndv1()),
       base_(&base),
       delta_(&delta) {
   // Views never stack: MutableGraph rebuilds one overlay against the
@@ -267,20 +267,8 @@ TermId TrieIndex::ViewKeyAt(uint32_t pos, int level) const {
   return base_->KeyAt(src.index, level);
 }
 
-uint32_t TrieIndex::ViewLowerBound0(TermId value) const {
-  // Merged rank of the first level-0 key >= value: the surviving base
-  // triples below the base's CSR offset for `value`, plus the adds below
-  // it. Both sides are O(log) lookups — the view's stand-in for the CSR
-  // offset array it does not materialize.
-  const uint32_t base_lb = value >= base_->num_terms()
-                               ? base_->size()
-                               : base_->Level0Range(value).begin;
-  return delta_->LiveBefore(base_lb) + delta_->AddsBelowLevel0(value);
-}
-
 Range TrieIndex::ViewLevel0Range(TermId value) const {
-  if (value >= num_terms_) return Range{};
-  return Range{ViewLowerBound0(value), ViewLowerBound0(value + 1)};
+  return delta_->Depth1(value);
 }
 
 uint32_t TrieIndex::ViewLowerBound(uint32_t lo, uint32_t hi, int level,
@@ -351,7 +339,7 @@ uint32_t TrieIndex::ViewBlockEnd(Range range, int level, uint32_t pos) const {
   const TermId value = ViewKeyAt(pos, level);
   if (level == 0) {
     KGOA_DCHECK(range == Root());
-    return ViewLowerBound0(value + 1);
+    return ViewLevel0Range(value).end;
   }
   uint64_t lo = pos;
   uint64_t step = 1;

@@ -65,10 +65,12 @@ class TrieIndex {
   // Overlay VIEW: merges `base` with `delta` (adds + tombstones) into the
   // rank-defined merged position space of DESIGN.md §13, without copying
   // any base storage. Every accessor answers as a from-scratch rebuild of
-  // the merged triple set would, position for position; seeks and narrows
-  // become O(log n * log overlay) generic binary searches over the merged
-  // key sequence. `base` and `delta` must outlive the view (GraphVersion
-  // pins both). `num_terms` must exceed every TermId of the merged set.
+  // the merged triple set would, position for position. A merged position
+  // maps to its add or base position in O(1) (delta.h), and level-0 ranges
+  // come from the base hash table shifted by the delta, so seeks and
+  // narrows are the owning tier's searches with one O(1) mapping per
+  // probe. `base` and `delta` must outlive the view (GraphVersion pins
+  // both). `num_terms` must exceed every TermId of the merged set.
   TrieIndex(const TrieIndex& base, const OrderDelta& delta,
             uint32_t num_terms);
 
@@ -104,8 +106,8 @@ class TrieIndex {
   // Hints the memory TripleAt(pos) will touch: the raw triple itself, or
   // each level column's encoded block bytes on the block tier. Issued by
   // batched walk loops ahead of the corresponding TripleAt. Views decline
-  // the hint: resolving the merged position costs more than the fetch it
-  // would hide.
+  // the hint: resolving the merged position reads the delta's directory
+  // and arrays, which are the misses the hint would have to hide.
   void PrefetchTriple(uint32_t pos) const {
     if (base_ != nullptr) return;
     if (tier_ == StorageTier::kRaw) {
@@ -135,7 +137,8 @@ class TrieIndex {
   }
 
   // Range of triples whose level-0 value is `value` (empty if absent).
-  // O(1) via the CSR offsets; O(log overlay) for views.
+  // O(1): the CSR offsets, or for views the delta's shifted base range
+  // (an absent key's empty range may then sit anywhere).
   Range Level0Range(TermId value) const {
     if (base_ != nullptr) return ViewLevel0Range(value);
     if (value >= num_terms_) return Range{};
@@ -206,9 +209,6 @@ class TrieIndex {
   Triple ViewTripleAt(uint32_t pos) const;
   TermId ViewKeyAt(uint32_t pos, int level) const;
   Range ViewLevel0Range(TermId value) const;
-  // First merged position whose level-0 key is >= `value` (the merged CSR
-  // rank: live base triples below the base offset plus adds below value).
-  uint32_t ViewLowerBound0(TermId value) const;
   // First position in [lo, hi) whose `level` key is >= / > `value`.
   uint32_t ViewLowerBound(uint32_t lo, uint32_t hi, int level,
                           TermId value) const;

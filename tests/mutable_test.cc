@@ -208,6 +208,223 @@ TEST_F(MutableGraphTest, OverlayViewEstimatesMatchCompactedRebuild) {
   }
 }
 
+// ---------------------------------------------------------------------------
+// View lookups and statistics against a rebuilt index
+// ---------------------------------------------------------------------------
+
+// Compares every range lookup and statistic of the overlay view `view`
+// with `rebuilt`, an IndexSet built from scratch over the same live
+// triples: Depth1 and Ndv2 for every term, Ndv1, Depth2 for every (v0, v1)
+// prefix of `probes` in every order, and CountMatches / CountDistinctVar
+// for every constant mask of every probe. Non-empty ranges must be equal;
+// the view may place an empty range anywhere.
+void ExpectViewMatchesRebuilt(const IndexSet& view, const IndexSet& rebuilt,
+                              uint32_t num_terms,
+                              const std::vector<Triple>& probes) {
+  ASSERT_FALSE(view.has_hash());
+  ASSERT_EQ(view.NumTriples(), rebuilt.NumTriples());
+  auto expect_same = [](Range got, Range want) {
+    if (want.empty()) {
+      EXPECT_TRUE(got.empty()) << got.begin << ".." << got.end;
+    } else {
+      EXPECT_EQ(got, want) << got.begin << ".." << got.end << " vs "
+                           << want.begin << ".." << want.end;
+    }
+  };
+  for (IndexOrder order : kAllIndexOrders) {
+    SCOPED_TRACE(OrderName(order));
+    EXPECT_EQ(view.Ndv1(order), rebuilt.Ndv1(order));
+    for (TermId v = 0; v < num_terms; ++v) {
+      SCOPED_TRACE(::testing::Message() << "v0=" << v);
+      expect_same(view.Depth1(order, v), rebuilt.Depth1(order, v));
+      EXPECT_EQ(view.Ndv2(order, v), rebuilt.Ndv2(order, v));
+    }
+    for (const Triple& t : probes) {
+      const TermId v0 = t[OrderComponent(order, 0)];
+      const TermId v1 = t[OrderComponent(order, 1)];
+      SCOPED_TRACE(::testing::Message() << "v0=" << v0 << " v1=" << v1);
+      expect_same(view.Depth2(order, v0, v1), rebuilt.Depth2(order, v0, v1));
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+  for (const Triple& t : probes) {
+    for (uint32_t mask = 0; mask < 8; ++mask) {
+      auto slot = [&](int c) {
+        return (mask >> c & 1) != 0 ? C(t[c]) : V(static_cast<VarId>(c));
+      };
+      const TriplePattern pattern = MakePattern(slot(0), slot(1), slot(2));
+      SCOPED_TRACE(::testing::Message() << "(" << t.s << " " << t.p << " "
+                                        << t.o << ") mask=" << mask);
+      EXPECT_EQ(view.CountMatches(pattern), rebuilt.CountMatches(pattern));
+      for (int c = 0; c < 3; ++c) {
+        if ((mask >> c & 1) != 0) continue;
+        const VarId var = static_cast<VarId>(c);
+        EXPECT_EQ(view.CountDistinctVar(pattern, var),
+                  rebuilt.CountDistinctVar(pattern, var));
+      }
+    }
+    if (::testing::Test::HasFailure()) return;
+  }
+}
+
+// Seeded batches aimed at the overlay's translation cases: level-0 keys
+// and (v0, v1) prefixes only adds carry, a term interned after the base
+// was built, a base level-0 block deleted entirely, tombstones on the
+// first and last position of blocks, and adds that sort before and after
+// every base triple of their block. After every batch the view must
+// answer every lookup and statistic as a rebuilt index does.
+TEST_F(MutableGraphTest, ViewLookupsMatchRebuiltIndex) {
+  constexpr int kEntities = 150;
+  constexpr int kPredicates = 5;
+  GraphBuilder builder;
+  std::vector<TermId> entities;
+  std::vector<TermId> preds;
+  for (int i = 0; i < kPredicates; ++i) {
+    preds.push_back(builder.Intern("p" + std::to_string(i)));
+  }
+  for (int i = 0; i < kEntities; ++i) {
+    entities.push_back(builder.Intern("e" + std::to_string(i)));
+  }
+  // Base triples avoid the two smallest and two largest entities, so
+  // adds using them sort before or after whole base blocks. Entity 10 is
+  // a hub: deleting its block crowds one directory bucket with over a
+  // hundred tombstones, past the directory's scan limit.
+  Rng rng(3);
+  auto inner = [&]() { return entities[2 + rng.Below(kEntities - 4)]; };
+  for (int i = 0; i < 2500; ++i) {
+    builder.Add(inner(), preds[rng.Below(kPredicates)], inner());
+  }
+  const TermId hub = entities[10];
+  for (int i = 0; i < 100; ++i) {
+    builder.Add(hub, preds[rng.Below(kPredicates)], inner());
+  }
+  const Graph base_graph = std::move(builder).Build();
+  const std::vector<Triple> base_triples = base_graph.triples();
+
+  for (const StorageTier tier : {StorageTier::kRaw, StorageTier::kBlock}) {
+    SCOPED_TRACE(StorageTierName(tier));
+    MutableGraph::Options options;
+    options.index_options.tier = tier;
+    MutableGraph m(Graph::Rebase(base_graph, base_triples), options);
+    const TermId fresh = m.Intern("fresh");  // after the base was built
+    std::vector<Triple> live = base_triples;  // (s, p, o)-sorted
+    std::vector<Triple> probes = base_triples;
+    Rng batch_rng(7);
+    auto any_entity = [&]() {
+      return batch_rng.Below(10) == 0
+                 ? fresh
+                 : entities[batch_rng.Below(kEntities)];
+    };
+
+    auto apply = [&](const std::vector<Triple>& inserts,
+                     const std::vector<Triple>& deletes) {
+      m.Apply(inserts, deletes);
+      for (const Triple& t : inserts) {
+        auto it = std::lower_bound(live.begin(), live.end(), t, SpoLess);
+        if (it == live.end() || !(*it == t)) live.insert(it, t);
+        probes.push_back(t);
+      }
+      for (const Triple& t : deletes) {
+        auto it = std::lower_bound(live.begin(), live.end(), t, SpoLess);
+        if (it != live.end() && *it == t) live.erase(it);
+      }
+      const GraphSnapshot snapshot = m.snapshot();
+      ASSERT_NE(snapshot.overlay(), nullptr);
+      const Graph rebuilt_graph = Graph::Rebase(snapshot.graph(), live);
+      const IndexSet rebuilt(rebuilt_graph);
+      const uint32_t num_terms =
+          static_cast<uint32_t>(snapshot.graph().dict().size());
+      ExpectViewMatchesRebuilt(snapshot.indexes(), rebuilt, num_terms,
+                               probes);
+      for (IndexOrder order : kAllIndexOrders) {
+        snapshot.indexes().Index(order).CheckInvariants();
+      }
+    };
+
+    // Batch 1: the structural cases.
+    std::vector<Triple> inserts;
+    std::vector<Triple> deletes;
+    for (const Triple& t : base_triples) {
+      if (t.s == hub) deletes.push_back(t);  // whole SPO block
+    }
+    // First and last triple of a subject's SPO block, of a predicate's
+    // PSO block and of an object's OPS block.
+    const TermId edge_subject = entities[20];
+    const Range subject_block =
+        m.snapshot().indexes().Depth1(IndexOrder::kSpo, edge_subject);
+    ASSERT_GE(subject_block.size(), 3u);
+    const TrieIndex& spo = m.snapshot().indexes().Index(IndexOrder::kSpo);
+    deletes.push_back(spo.TripleAt(subject_block.begin));
+    deletes.push_back(spo.TripleAt(subject_block.end - 1));
+    for (IndexOrder order : {IndexOrder::kPso, IndexOrder::kOps}) {
+      const IndexSet& indexes = m.snapshot().indexes();
+      const TermId key = order == IndexOrder::kPso ? preds[2] : entities[30];
+      const Range block = indexes.Depth1(order, key);
+      ASSERT_GE(block.size(), 3u);
+      deletes.push_back(indexes.Index(order).TripleAt(block.begin));
+      deletes.push_back(indexes.Index(order).TripleAt(block.end - 1));
+    }
+    // Adds before and after every base triple of their block, in each
+    // order's level-0 block: the smallest / largest entities and
+    // predicates sort first / last.
+    const TermId low = entities[0];
+    const TermId high = entities[kEntities - 1];
+    for (const TermId key : {entities[40], entities[41]}) {
+      inserts.push_back(Triple{key, preds[0], low});     // SPO before
+      inserts.push_back(Triple{key, preds.back(), high});  // SPO after
+      inserts.push_back(Triple{low, preds[0], key});     // OPS before
+      inserts.push_back(Triple{high, preds.back(), key});  // OPS after
+    }
+    inserts.push_back(Triple{low, preds[1], entities[50]});   // PSO before
+    inserts.push_back(Triple{high, preds[1], entities[50]});  // PSO after
+    // Fresh level-0 keys and prefixes, many at one insertion point.
+    for (int i = 0; i < 80; ++i) {
+      inserts.push_back(Triple{fresh, preds[static_cast<std::size_t>(i) %
+                                            kPredicates],
+                               entities[static_cast<std::size_t>(i) + 2]});
+      inserts.push_back(Triple{entities[static_cast<std::size_t>(i) + 60],
+                               preds[3], fresh});
+    }
+    for (int i = 0; i < 60; ++i) {
+      inserts.push_back(Triple{inner(), preds[batch_rng.Below(kPredicates)],
+                               inner()});
+    }
+    apply(inserts, deletes);
+    if (HasFailure()) return;
+
+    // Batch 2: seeded random writes, including the fresh term.
+    const std::vector<Triple> first_deletes = deletes;
+    const std::vector<Triple> first_inserts = inserts;
+    inserts.clear();
+    deletes.clear();
+    for (int i = 0; i < 150; ++i) {
+      inserts.push_back(Triple{any_entity(),
+                               preds[batch_rng.Below(kPredicates)],
+                               any_entity()});
+    }
+    for (int i = 0; i < 75; ++i) {
+      deletes.push_back(base_triples[batch_rng.Below(base_triples.size())]);
+    }
+    apply(inserts, deletes);
+    if (HasFailure()) return;
+
+    // Batch 3: undo half of the first batch (revived tombstones and
+    // retracted adds) and delete a second whole block.
+    inserts.clear();
+    deletes.clear();
+    for (std::size_t i = 0; i < first_deletes.size(); i += 2) {
+      inserts.push_back(first_deletes[i]);
+    }
+    for (std::size_t i = 0; i < first_inserts.size(); i += 2) {
+      deletes.push_back(first_inserts[i]);
+    }
+    for (const Triple& t : live) {
+      if (t.s == entities[12]) deletes.push_back(t);
+    }
+    apply(inserts, deletes);
+  }
+}
+
 TEST_F(MutableGraphTest, WritesLandingDuringCompactionAreReplayed) {
   MutableGraph m(testing::PaperExampleGraph());
   // Pre-intern every term the writer thread uses (Intern is writer-locked
@@ -352,6 +569,7 @@ TEST_F(MutableGraphTest, ExplorerWritePathPublishesEpochsAndEvictsCaches) {
   EXPECT_EQ(explorer.epoch(), 1u);
   EXPECT_EQ(explorer.metrics().Counter("epoch.current"), 1u);
   EXPECT_EQ(explorer.metrics().Counter("epoch.overlay_adds"), 1u);
+  EXPECT_GT(explorer.metrics().Counter("epoch.overlay_bytes"), 0u);
   EXPECT_EQ(explorer.metrics().Counter("explorer.reach.stale_evictions"),
             1u);
 
@@ -366,6 +584,7 @@ TEST_F(MutableGraphTest, ExplorerWritePathPublishesEpochsAndEvictsCaches) {
   EXPECT_EQ(compacted_epoch, 2u);
   EXPECT_EQ(explorer.metrics().Counter("epoch.compactions"), 1u);
   EXPECT_EQ(explorer.metrics().Counter("epoch.overlay_adds"), 0u);
+  EXPECT_EQ(explorer.metrics().Counter("epoch.overlay_bytes"), 0u);
   EXPECT_TRUE(explorer.graph().Contains(
       Triple{zeno, graph_.rdf_type(), Id("Person")}));
 
