@@ -4,26 +4,23 @@
 #
 #   BENCH_reach.json  `reach_trace` from micro_sample_time — the
 #                     reach-probability cache ablation.
-#   BENCH_serve.json  `serve_trace` from serve_concurrency — serving-core
-#                     time-to-CI under concurrency and cancellation
-#                     latency.
 #   BENCH_index.json  `index_trace` from index_memory — raw vs block
-#                     storage-tier bytes and top-K time-to-displayed-chart.
+#                     storage-tier bytes.
 #   BENCH_kernels.json `kernel_trace` from kernel_throughput — the SIMD
 #                     kernel ablation: decode MB/s, in-block seeks/s and
 #                     hash probes/s scalar vs vectorized, plus end-to-end
 #                     time-to-CI scalar vs SIMD vs SIMD+batched walks.
 #
-# Serving under writes has no artifact here: kgbench's write_mix workload
-# measures it with repetition and bounds (BENCHMARK.json).
+# Concurrent serving and serving under writes have no artifact here:
+# kgbench's sessions_block and write_mix workloads measure them with
+# repetition and bounds (BENCHMARK.json).
 #
-# Usage: scripts/bench_json.sh [--quick] [reach_out.json] [serve_out.json]
-#                              [index_out.json] [kernels_out.json]
+# Usage: scripts/bench_json.sh [--quick] [reach_out.json] [index_out.json]
+#                              [kernels_out.json]
 #
 #   --quick    Smoke-sized runs (KGOA_BENCH_QUICK=1) — what tier1.sh runs.
-#   outputs    Default to BENCH_reach.json / BENCH_serve.json /
-#              BENCH_index.json / BENCH_kernels.json in the repo root (the
-#              tracked copies).
+#   outputs    Default to BENCH_reach.json / BENCH_index.json /
+#              BENCH_kernels.json in the repo root (the tracked copies).
 #
 # The build directory defaults to ./build; override with KGOA_BENCH_BUILD.
 # Each emitted JSON has the stable key set checked at the bottom of this
@@ -44,13 +41,11 @@ for arg in "$@"; do
   esac
 done
 REACH_OUT="${OUTS[0]:-BENCH_reach.json}"
-SERVE_OUT="${OUTS[1]:-BENCH_serve.json}"
-INDEX_OUT="${OUTS[2]:-BENCH_index.json}"
-KERNELS_OUT="${OUTS[3]:-BENCH_kernels.json}"
+INDEX_OUT="${OUTS[1]:-BENCH_index.json}"
+KERNELS_OUT="${OUTS[2]:-BENCH_kernels.json}"
 
 BUILD="${KGOA_BENCH_BUILD:-build}"
-for bin in micro_sample_time serve_concurrency index_memory \
-           kernel_throughput; do
+for bin in micro_sample_time index_memory kernel_throughput; do
   if [[ ! -x "$BUILD/bench/$bin" ]]; then
     cmake --build "$BUILD" --target "$bin" -j "$(nproc)"
   fi
@@ -61,28 +56,23 @@ if [[ "$QUICK" == "1" ]]; then
   # only the hand-timed EmitReachTrace ablation.
   RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/micro_sample_time" \
         --benchmark_filter='^$' 2>/dev/null)
-  SERVE_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/serve_concurrency" \
-              2>/dev/null)
   INDEX_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/index_memory" 2>/dev/null)
   KERNELS_RAW=$(KGOA_BENCH_QUICK=1 "$BUILD/bench/kernel_throughput" \
                 2>/dev/null)
 else
   RAW=$("$BUILD/bench/micro_sample_time" --benchmark_filter='^BM_Reach' \
         2>/dev/null)
-  SERVE_RAW=$("$BUILD/bench/serve_concurrency" 2>/dev/null)
   INDEX_RAW=$("$BUILD/bench/index_memory" 2>/dev/null)
   KERNELS_RAW=$("$BUILD/bench/kernel_throughput" 2>/dev/null)
 fi
 
 echo "$RAW" | grep '^reach_trace ' | sed 's/^reach_trace //' > "$REACH_OUT"
-echo "$SERVE_RAW" | grep '^serve_trace ' | sed 's/^serve_trace //' \
-    > "$SERVE_OUT"
 echo "$INDEX_RAW" | grep '^index_trace ' | sed 's/^index_trace //' \
     > "$INDEX_OUT"
 echo "$KERNELS_RAW" | grep '^kernel_trace ' | sed 's/^kernel_trace //' \
     > "$KERNELS_OUT"
 
-python3 - "$REACH_OUT" "$SERVE_OUT" "$INDEX_OUT" "$KERNELS_OUT" <<'EOF'
+python3 - "$REACH_OUT" "$INDEX_OUT" "$KERNELS_OUT" <<'EOF'
 import json
 import sys
 
@@ -96,7 +86,7 @@ def require(path, trace, counters, gauges):
     if missing:
         sys.exit(f"bench_json.sh: {path} is missing stable keys: {missing}")
 
-reach_path, serve_path, index_path, kernels_path = sys.argv[1:5]
+reach_path, index_path, kernels_path = sys.argv[1:4]
 
 reach = load(reach_path)
 require(reach_path, reach, {
@@ -113,34 +103,14 @@ print(f"bench_json.sh: wrote {reach_path} "
       f"speedup_warm_vs_seed="
       f"{reach['gauges']['reach.speedup_warm_vs_seed']:.2f}x)")
 
-serve = load(serve_path)
-require(serve_path, serve, {
-    "serve.threads", "serve.jobs_submitted", "serve.jobs_completed",
-    "serve.jobs_cancelled", "serve.quanta", "serve.preemptions",
-    "serve.walks", "serve.live_jobs", "serve.max_live_jobs",
-}, {
-    "serve.ci_target", "serve.solo_seconds_to_ci", "serve.solo_walks_to_ci",
-    "serve.concurrent_jobs", "serve.concurrent_seconds_to_ci",
-    "serve.concurrent_slowdown", "serve.cancel_latency_mean_seconds",
-    "serve.cancel_latency_max_seconds", "serve.last_cancel_latency_seconds",
-})
-print(f"bench_json.sh: wrote {serve_path} "
-      f"(solo={serve['gauges']['serve.solo_seconds_to_ci']*1e3:.0f} ms, "
-      f"4-way={serve['gauges']['serve.concurrent_seconds_to_ci']*1e3:.0f} ms,"
-      f" cancel="
-      f"{serve['gauges']['serve.cancel_latency_mean_seconds']*1e3:.2f} ms)")
-
 index = load(index_path)
 require(index_path, index, {
     "index.dbpedia-like.raw_bytes", "index.dbpedia-like.block_bytes",
     "index.lgd-like.raw_bytes", "index.lgd-like.block_bytes",
-    "index.topk_pruned_walks",
 }, {
-    "index.ci_target",
     "index.dbpedia-like.memory_ratio", "index.dbpedia-like.compress_ms",
     "index.lgd-like.memory_ratio", "index.lgd-like.compress_ms",
-    "index.memory_ratio_min", "index.full_seconds_to_converged",
-    "index.topk_seconds_to_displayed", "index.topk_speedup",
+    "index.memory_ratio_min",
 })
 MIN_MEMORY_RATIO = 2.0
 memory_ratio = index["gauges"]["index.memory_ratio_min"]
@@ -148,9 +118,7 @@ if memory_ratio < MIN_MEMORY_RATIO:
     sys.exit(f"bench_json.sh: {index_path}: index.memory_ratio_min "
              f"{memory_ratio:.2f} is below {MIN_MEMORY_RATIO}")
 print(f"bench_json.sh: wrote {index_path} "
-      f"(block tier {memory_ratio:.2f}x smaller, "
-      f"top-K displayed chart "
-      f"{index['gauges']['index.topk_speedup']:.2f}x faster than full)")
+      f"(block tier {memory_ratio:.2f}x smaller)")
 
 # Host-portable key set: scalar-vs-best rather than per-level keys, so the
 # same keys validate on machines without AVX2 (where "simd" is scalar and

@@ -30,11 +30,11 @@
 #     scalar kernels (the only dispatch level on hosts without AVX2, and
 #     the reference of every differential test) get the same coverage as
 #     the AVX2 default
-#  8. bench smoke: scripts/bench_json.sh --quick must emit all four
+#  8. bench smoke: scripts/bench_json.sh --quick must emit all three
 #     BENCH JSONs with their stable key sets and a block-tier memory
 #     ratio of at least 2.0 (written to a temp dir so the checked-in
-#     full-mode BENCH_reach.json / BENCH_serve.json / BENCH_index.json /
-#     BENCH_kernels.json are not clobbered with quick-mode numbers)
+#     full-mode BENCH_reach.json / BENCH_index.json / BENCH_kernels.json
+#     are not clobbered with quick-mode numbers)
 #
 # Usage: scripts/tier1.sh   (from the repo root)
 set -euo pipefail
@@ -101,8 +101,7 @@ echo "=== tier-1: bench smoke (scripts/bench_json.sh) ==="
 SMOKE_DIR="$(mktemp -d)"
 trap 'rm -rf "${SMOKE_DIR}"' EXIT
 scripts/bench_json.sh --quick "${SMOKE_DIR}/BENCH_reach.json" \
-    "${SMOKE_DIR}/BENCH_serve.json" "${SMOKE_DIR}/BENCH_index.json" \
-    "${SMOKE_DIR}/BENCH_kernels.json"
+    "${SMOKE_DIR}/BENCH_index.json" "${SMOKE_DIR}/BENCH_kernels.json"
 
 echo
 echo "tier-1 OK"

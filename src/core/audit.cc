@@ -46,19 +46,6 @@ AuditJoin::AuditJoin(const IndexSet& indexes, const ChainQuery& query,
     next_in_component_[q] = pattern.ComponentOf(plan_.steps()[q + 1].in_var);
     KGOA_DCHECK(next_in_component_[q] >= 0);
   }
-  alpha_record_step_ = plan_.RecordStepOfSlot(plan_.alpha_slot());
-  const WalkStep& alpha_step = plan_.steps()[alpha_record_step_];
-  for (const WalkStep::Record& record : alpha_step.records) {
-    if (record.slot != plan_.alpha_slot()) continue;
-    const int level = alpha_step.access.depth();
-    if (level < 3 &&
-        OrderComponent(alpha_step.access.order(), level) == record.component) {
-      // The group value is the first free trie level of this step's
-      // access path: equal-group positions form contiguous runs in the
-      // resolved range, so pruned groups can be skipped run-at-a-time.
-      alpha_enum_level_ = level;
-    }
-  }
   pending_.reserve(kReachFlushBatch);
 }
 
@@ -118,17 +105,6 @@ bool AuditJoin::EnumerateRemaining(int q, std::span<TermId> state,
     for (const WalkStep::Record& record : step.records) {
       state[record.slot] = t[record.component];
     }
-    if (q == alpha_record_step_ && group_filter_ != nullptr &&
-        group_filter_->Pruned(state[plan_.alpha_slot()])) {
-      // Pruned group: none of its completions can enter the displayed
-      // chart. When the group value is the first free trie level, hop
-      // over the whole equal-group run (block-max skips in the block
-      // tier); otherwise just drop this position's subtree.
-      if (alpha_enum_level_ >= 0) {
-        pos = index.BlockEnd(range, alpha_enum_level_, pos) - 1;
-      }
-      continue;
-    }
     if (!EnumerateRemaining(q + 1, state, mass / d, budget, acc)) return false;
   }
   return true;
@@ -156,7 +132,7 @@ bool AuditJoin::TippedContributions(int q0, std::span<TermId> state,
   if (abort_memo_[q0].Contains(in_value)) return false;
 
   tip_acc_.Clear();
-  uint64_t budget = options_.max_tip_enumeration;
+  uint64_t budget = kMaxTipEnumeration;
   if (!EnumerateRemaining(q0, state, 1.0, &budget, &tip_acc_)) {
     abort_memo_[q0].FindOrAdd(in_value) = 1;
     return false;
@@ -218,18 +194,6 @@ void AuditJoin::RunOneWalkInternal() {
     const TermId bound =
         step.in_slot >= 0 ? state_[step.in_slot] : kInvalidTerm;
 
-    // Top-K prune: the group-by value was bound by the previous step, and
-    // the tracker has ruled its group out of the displayed chart — finish
-    // the walk with a zero contribution before any tip or index work.
-    // (Counted as a pruned, not rejected, walk: the denominator grows
-    // either way, which is what decays pruned groups' estimates.)
-    if (group_filter_ != nullptr && q == alpha_record_step_ + 1 &&
-        group_filter_->Pruned(state_[plan_.alpha_slot()])) {
-      ++pruned_;
-      estimates_.EndWalk(/*rejected=*/false);
-      return;
-    }
-
     // Static tipping decision: the remaining suffix looks cheap, so
     // switch to exact computation before even resolving this step (a
     // tipped walk never dead-ends; it yields an exact count, possibly 0).
@@ -286,16 +250,6 @@ void AuditJoin::RunOneWalkInternal() {
   }
 
   const TermId a = state_[plan_.alpha_slot()];
-  // Group bound only by the final step: the in-loop prune check above
-  // never saw it, so filter here before paying for the contribution (the
-  // distinct path's Pr(a, b) probe is the expensive part).
-  if (group_filter_ != nullptr &&
-      alpha_record_step_ + 1 == plan_.NumSteps() &&
-      group_filter_->Pruned(a)) {
-    ++pruned_;
-    estimates_.EndWalk(/*rejected=*/false);
-    return;
-  }
   if (query_.distinct()) {
     // The Pr(a, b) division is deferred to the flush's batched probe
     // loop; the walk itself only records the audited pair.
@@ -314,7 +268,6 @@ OlaCounters AuditJoin::counters() const {
   counters.full_walks = full_;
   counters.tip_aborts = tip_aborts_;
   counters.ctj_cache_hits = count_cache_hits_;
-  counters.pruned_walks = pruned_;
   counters.batched_walks = batched_walks_;
   if (owned_reach_ != nullptr) {
     const ShardedTableStats reach = owned_reach_->stats();
@@ -357,8 +310,8 @@ void AuditJoin::RunWalks(uint64_t count) {
 // walk level per round; within a level the work splits into phases so the
 // index probes and triple fetches pipeline across walks:
 //
-//   1. scalar prolog, walk order: top-K prune + static tipping (the only
-//      phase-1 writer of shared state is the tip path's abort_memo_[q]);
+//   1. scalar prolog, walk order: static tipping (the only phase-1
+//      writer of shared state is the tip path's abort_memo_[q]);
 //   2. batched range resolve: hash-probe prefetch pipelined across walks;
 //   3. scalar adaptive tipping, walk order (mutually exclusive with the
 //      static check in phase 1);
@@ -422,17 +375,10 @@ void AuditJoin::RunWalkBatch(uint32_t batch) {
   for (int q = 0; q < plan_.NumSteps() && alive > 0; ++q) {
     const WalkStep& step = plan_.steps()[q];
 
-    // Phase 1: prune + static tip, in walk order.
+    // Phase 1: static tip, in walk order.
     for (uint32_t b = 0; b < batch; ++b) {
       if (batch_done_[b] != kLaneAlive) continue;
       const std::span<TermId> state = lane_state(b);
-      if (group_filter_ != nullptr && q == alpha_record_step_ + 1 &&
-          group_filter_->Pruned(state[plan_.alpha_slot()])) {
-        ++pruned_;
-        batch_done_[b] = kLaneDone;
-        --alive;
-        continue;
-      }
       if (options_.enable_tipping && !options_.adaptive_tipping &&
           tipping_.StaticSuffixEstimate(q) <= options_.tipping_threshold &&
           tip_lane(b, q)) {
@@ -515,12 +461,6 @@ void AuditJoin::RunWalkBatch(uint32_t batch) {
     const std::span<TermId> state = lane_state(b);
     const TermId a = state[plan_.alpha_slot()];
     batch_done_[b] = kLaneDone;
-    if (group_filter_ != nullptr &&
-        alpha_record_step_ + 1 == plan_.NumSteps() &&
-        group_filter_->Pruned(a)) {
-      ++pruned_;
-      continue;
-    }
     if (query_.distinct()) {
       batch_contrib_[b].push_back(
           {a, 0.0, PackPair(a, state[plan_.beta_slot()]), /*needs_pr=*/true});

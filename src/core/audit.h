@@ -41,7 +41,6 @@
 #include "src/index/flat_table.h"
 #include "src/index/index_set.h"
 #include "src/ola/estimator.h"
-#include "src/ola/topk.h"
 #include "src/ola/walk_plan.h"
 #include "src/query/chain_query.h"
 #include "src/util/rng.h"
@@ -68,11 +67,6 @@ class AuditJoin {
     // with the actual fan-out of the next step, making the decision
     // prefix-dependent. Both are unbiased.
     bool adaptive_tipping = false;
-    // Hard cap on tuples visited by one partial exact computation; if the
-    // estimate was wrong and enumeration exceeds this, the walk resumes
-    // sampling instead (a deterministic function of the prefix, so
-    // unbiasedness is preserved).
-    uint64_t max_tip_enumeration = 4096;
     // When set, this engine audits against the given shared
     // reach-probability cache instead of building a private one. The cache
     // must have been built for an equivalent walk plan (same query, same
@@ -114,25 +108,11 @@ class AuditJoin {
   uint64_t suffix_cache_hits() const { return count_cache_hits_; }
   bool owns_reach() const { return owned_reach_ != nullptr; }
 
-  // The counters above, plus walks cut short by a top-K filter, as one
-  // OlaCounters. Reach stats come only from an owned cache: a shared cache
-  // is reported once by its owner (the serving job or the session
-  // registry), so merging the counters of the engines that share it
-  // cannot multiply it.
+  // The counters above as one OlaCounters. Reach stats come only from an
+  // owned cache: a shared cache is reported once by its owner (the
+  // serving job or the session registry), so merging the counters of the
+  // engines that share it cannot multiply it.
   OlaCounters counters() const;
-
-  // Installs (nullptr: clears) a top-K group filter. Walks whose group-by
-  // value is bound to a pruned group end immediately with a zero
-  // contribution, and tipped enumerations skip whole equal-group runs
-  // when the group component is the first free trie level of the
-  // recording step's access path (block-max hops in the block tier).
-  // Estimates for pruned groups decay — callers only enable this when
-  // those groups can no longer enter the displayed chart: the serving
-  // core installs the TopKTracker's filter here for deadline-mode top-K
-  // jobs (src/ola/topk.h).
-  void SetGroupFilter(std::shared_ptr<const GroupFilter> filter) {
-    group_filter_ = std::move(filter);
-  }
 
   // Verification hook mirroring RunOneWalk's decisions exactly: enumerates
   // every stoppable prefix delta with its probability and the contribution
@@ -220,16 +200,6 @@ class AuditJoin {
 
   // Scratch arena reused by TippedContributions across walks.
   FlatAccumulator<uint64_t, double> tip_acc_;
-
-  // Top-K prune state. alpha_record_step_: the step whose sampled triple
-  // binds the group-by slot. alpha_enum_level_: the trie level of the
-  // group component at that step when it is the first free level of the
-  // access path (equal-group positions are then contiguous runs the
-  // enumeration can skip via BlockEnd); -1 otherwise.
-  std::shared_ptr<const GroupFilter> group_filter_;
-  int alpha_record_step_ = -1;
-  int alpha_enum_level_ = -1;
-  uint64_t pruned_ = 0;
 
   // Deferred per-walk contributions, in walk order.
   struct PendingContribution {

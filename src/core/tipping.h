@@ -12,6 +12,7 @@
 #define KGOA_CORE_TIPPING_H_
 
 #include <cstddef>
+#include <cstdint>
 #include <vector>
 
 #include "src/index/index_set.h"
@@ -19,6 +20,12 @@
 #include "src/util/contract.h"
 
 namespace kgoa {
+
+// Hard cap on tuples visited by one partial exact computation. If the
+// estimate was wrong and enumeration exceeds this, the walk resumes
+// sampling instead (a deterministic function of the prefix, so
+// unbiasedness is preserved).
+inline constexpr uint64_t kMaxTipEnumeration = 4096;
 
 class TippingEstimator {
  public:

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "src/core/tipping.h"
 #include "src/util/contract.h"
 
 namespace kgoa {
@@ -344,7 +345,7 @@ bool CyclicAuditJoin::TippedContributions(
     int q, std::vector<TermId>& state, double weight,
     std::unordered_map<TermId, double>* out) {
   std::unordered_map<TermId, double> counts;
-  uint64_t budget = options_.max_tip_enumeration;
+  uint64_t budget = kMaxTipEnumeration;
   if (!EnumerateRemaining(q, state, &budget, &counts)) return false;
   for (const auto& [group, count] : counts) {
     (*out)[group] += weight * count;

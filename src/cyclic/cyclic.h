@@ -162,7 +162,6 @@ class CyclicAuditJoin {
     std::vector<int> pattern_order;
     double tipping_threshold = 64.0;
     bool enable_tipping = true;
-    uint64_t max_tip_enumeration = 4096;
   };
 
   CyclicAuditJoin(const IndexSet& indexes, const CyclicQuery& query)

@@ -124,7 +124,6 @@ void ExportMetrics(const OlaCounters& counters, std::string_view prefix,
   registry->Add(p + "reach_hits", counters.reach_hits);
   registry->Add(p + "reach_misses", counters.reach_misses);
   registry->Add(p + "reach_contention", counters.reach_contention);
-  registry->Add(p + "pruned_walks", counters.pruned_walks);
   registry->Add(p + "batched_walks", counters.batched_walks);
   registry->SetCounter(p + "reach_entries", counters.reach_entries);
 }
@@ -233,11 +232,8 @@ std::string SnapshotJson(const OlaSnapshot& snapshot) {
   out += ",\"reach_contention\":" +
          FmtCounter(snapshot.counters.reach_contention);
   out += ",\"reach_entries\":" + FmtCounter(snapshot.counters.reach_entries);
-  out += ",\"pruned_walks\":" + FmtCounter(snapshot.counters.pruned_walks);
   out += ",\"batched_walks\":" +
          FmtCounter(snapshot.counters.batched_walks);
-  out += ",\"displayed_converged\":" +
-         std::string(snapshot.displayed_converged ? "true" : "false");
   out += ",\"groups\":{";
   if (snapshot.estimates != nullptr) {
     std::vector<std::pair<TermId, double>> groups;

@@ -86,7 +86,6 @@ struct OlaCounters {
   uint64_t tip_aborts = 0;       // Audit Join: enumeration-cap aborts
   uint64_t ctj_cache_hits = 0;   // Audit Join: suffix-count memo hits
   uint64_t duplicate_walks = 0;  // Wander Join distinct mode
-  uint64_t pruned_walks = 0;     // walks cut short by the top-K filter
   uint64_t batched_walks = 0;    // walks run through the SoA batched path
   uint64_t reach_hits = 0;       // reach cache: memoized lookups served
   uint64_t reach_misses = 0;     // reach cache: entries computed
@@ -99,7 +98,6 @@ struct OlaCounters {
     tip_aborts += other.tip_aborts;
     ctj_cache_hits += other.ctj_cache_hits;
     duplicate_walks += other.duplicate_walks;
-    pruned_walks += other.pruned_walks;
     batched_walks += other.batched_walks;
     reach_hits += other.reach_hits;
     reach_misses += other.reach_misses;

@@ -45,16 +45,10 @@ OlaSnapshot FinalSnapshot(const ParallelOlaResult& result) {
   snapshot.rejection_rate = result.estimates.RejectionRate();
   snapshot.counters = result.counters;
   snapshot.estimates = &result.estimates;
-  snapshot.displayed_converged = result.displayed_converged;
   snapshot.final_snapshot = true;
   FillRates(result.elapsed_seconds, snapshot);
   return snapshot;
 }
-
-// Seconds between top-K tracker refreshes. The refresh is a slot-order
-// merge (same cost as a snapshot); pacing it faster than the display
-// cadence lets pruning kick in early without re-merging every quantum.
-constexpr double kTopKRefreshPeriod = 0.01;
 
 }  // namespace
 
@@ -124,8 +118,6 @@ struct ServingCore::State {
 //                    them carries KGOA_REQUIRES(state.mutex) and takes the
 //                    State explicitly.
 //   slot.publish_mutex   that slot's published partial/counters.
-//   topk_mutex       top-K refresh pacing (tracker internals have their
-//                    own lock — src/ola/topk.h).
 //   done_mutex       result publication + done_cv.
 //   callback_mutex   snapshot-callback serialization + pacing tick.
 //
@@ -180,12 +172,7 @@ class ChartJob {
       : core(std::move(core_state)),
         query(chart_query),
         options(std::move(job_options)),
-        budget_mode(options.walk_budget > 0),
-        // Pruning changes which walks complete; a budget-mode estimate
-        // must stay a pure function of (query, seed, budget, workers), so
-        // the tracker runs observe-only there (bounds and convergence
-        // signal, no filter).
-        topk(options.top_k, /*prune=*/!budget_mode) {
+        budget_mode(options.walk_budget > 0) {
     KGOA_CHECK(options.snapshot.valid());
     const int workers = std::max(1, options.workers);
 
@@ -225,8 +212,6 @@ class ChartJob {
                SecondsToDuration(std::max(options.deadline_seconds, 0.0));
     next_tick = SteadyClock::now() +
                 SecondsToDuration(std::max(options.snapshot_period, 1e-4));
-    next_topk_tick = SteadyClock::now() +
-                     SecondsToDuration(kTopKRefreshPeriod);
   }
 
   std::shared_ptr<ServingCore::State> core;
@@ -265,19 +250,6 @@ class ChartJob {
   // quantum boundaries without any lock.
   std::atomic<bool> cancel_requested{false};
 
-  // The graceful-finish token: same stopping mechanics as the cancel
-  // token, but the job retires as completed (with its partials) and the
-  // budget walk-count contract is waived. Set by ChartHandle::Finish()
-  // or, with finish_on_displayed_convergence, by the top-K refresh.
-  std::atomic<bool> finish_requested{false};
-
-  // Top-K serving state. The tracker is updated from merged partials
-  // under topk_mutex (try-lock paced, like the snapshot callback);
-  // engines pull immutable filter snapshots at quantum boundaries.
-  TopKTracker topk;
-  Mutex topk_mutex;
-  SteadyClock::time_point next_topk_tick KGOA_GUARDED_BY(topk_mutex){};
-
   // Completion signalling; `result` is written once under done_mutex
   // before `state` advances to kDone/kCancelled.
   mutable Mutex done_mutex;
@@ -309,7 +281,6 @@ bool HasAvailableSlot(const ServingCore::State& state, const ChartJob& job)
     KGOA_REQUIRES(state.mutex) {
   (void)state;
   if (job.cancel_requested.load(std::memory_order_relaxed)) return false;
-  if (job.finish_requested.load(std::memory_order_relaxed)) return false;
   for (const ChartJob::Slot& slot : job.slots) {
     if (!slot.exhausted && !slot.checked_out) return true;
   }
@@ -342,30 +313,8 @@ OlaSnapshot MergeJobSnapshot(ChartJob& job, GroupedEstimates* merged) {
   snapshot.rejected_walks = merged->rejected_walks();
   snapshot.rejection_rate = merged->RejectionRate();
   snapshot.estimates = merged;
-  snapshot.displayed_converged = job.topk.displayed_converged();
   FillRates(job.clock.ElapsedSeconds(), snapshot);
   return snapshot;
-}
-
-// Refreshes the top-K tracker from a fresh slot-order merge, paced like
-// the snapshot callback (try-lock + tick: a sampled view, not a log).
-// With finish_on_displayed_convergence the job self-finishes the moment
-// the displayed chart settles — deadline mode only; a budget-mode job
-// always runs its exact budget.
-void MaybeRefreshTopK(ChartJob& job) {
-  if (!job.topk.enabled()) return;
-  if (!job.topk_mutex.TryLock()) return;
-  MutexLock lock(job.topk_mutex, kAdoptLock);
-  if (SteadyClock::now() < job.next_topk_tick) return;
-  GroupedEstimates merged;
-  MergeJobSnapshot(job, &merged);
-  job.topk.Update(merged);
-  job.next_topk_tick =
-      SteadyClock::now() + SecondsToDuration(kTopKRefreshPeriod);
-  if (!job.budget_mode && job.options.finish_on_displayed_convergence &&
-      job.topk.displayed_converged()) {
-    job.finish_requested.store(true, std::memory_order_release);
-  }
 }
 
 // Delivers a paced live snapshot if the job subscribed and the period
@@ -395,7 +344,6 @@ void MaybeSnapshotCallback(ChartJob& job) {
 uint64_t RunQuantum(ChartJob& job, int slot_index) {
   ChartJob::Slot& slot = job.slots[static_cast<std::size_t>(slot_index)];
   if (job.cancel_requested.load(std::memory_order_acquire)) return 0;
-  if (job.finish_requested.load(std::memory_order_acquire)) return 0;
   if (!job.budget_mode && SteadyClock::now() >= job.deadline) return 0;
 
   if (slot.engine == nullptr) {
@@ -414,13 +362,6 @@ uint64_t RunQuantum(ChartJob& job, int slot_index) {
     KGOA_DCHECK(slot.done < slot.share);
     walks = std::min(walks, slot.share - slot.done);
   }
-  if (job.topk.enabled()) {
-    // Install the current prune set for this quantum. The snapshot is
-    // immutable and slot-private for the quantum's duration; in budget
-    // mode (or before anything is pruned) it is null, clearing any
-    // previous filter.
-    slot.engine->SetGroupFilter(job.topk.FilterSnapshot());
-  }
   slot.engine->RunWalks(walks);
 
   // The copy reads only slot-private engine state; only the handoff into
@@ -432,7 +373,6 @@ uint64_t RunQuantum(ChartJob& job, int slot_index) {
     slot.partial = std::move(partial);
     slot.counters = counters;
   }
-  MaybeRefreshTopK(job);
   MaybeSnapshotCallback(job);
   return walks;
 }
@@ -457,13 +397,10 @@ void FinalizeJob(ChartJob& job, bool cancelled)
   }
   job.reach_window.AddDelta(result.counters);
   result.elapsed_seconds = job.clock.ElapsedSeconds();
-  result.displayed_converged = job.topk.displayed_converged();
-  if (job.budget_mode && !cancelled &&
-      !job.finish_requested.load(std::memory_order_acquire)) {
+  if (job.budget_mode && !cancelled) {
     // Walk-budget determinism: every slot ran exactly its share, so the
     // merged walk count must equal the requested budget regardless of how
-    // the quanta were scheduled. (A graceful Finish() waives the
-    // contract: the job completes with the walks it got to.)
+    // the quanta were scheduled.
     KGOA_DCHECK_EQ(result.estimates.walks(), job.options.walk_budget);
   }
   // Release the heavy engine state (estimator arenas, CTJ memos, private
@@ -526,10 +463,9 @@ bool RetireJobLocked(ServingCore::State& state,
 // Returns false when no work is available.
 bool PickWork(ServingCore::State& state, std::shared_ptr<ChartJob>* out_job,
               int* out_slot) KGOA_REQUIRES(state.mutex) {
-  // Drop stale entries first (fully checked out, exhausted, or stopped
-  // since they were queued — e.g. a top-K self-finish requested
-  // mid-quantum): workers returning slots re-queue jobs that regain
-  // available work.
+  // Drop stale entries first (fully checked out, exhausted, or cancelled
+  // since they were queued): workers returning slots re-queue jobs that
+  // regain available work.
   for (auto it = state.queue.begin(); it != state.queue.end();) {
     if (HasAvailableSlot(state, **it)) {
       ++it;
@@ -575,8 +511,8 @@ void ExhaustSlot(const ServingCore::State& state, ChartJob& job,
   }
 }
 
-// A stop token was observed: everything not currently running stops now;
-// running slots stop as their quanta return.
+// The cancel token was observed: everything not currently running stops
+// now; running slots stop as their quanta return.
 void ExhaustIdleSlots(const ServingCore::State& state, ChartJob& job)
     KGOA_REQUIRES(state.mutex) {
   for (ChartJob::Slot& slot : job.slots) {
@@ -594,10 +530,7 @@ RetireAction ReturnSlot(ServingCore::State& state,
   --job->checked_out;
   slot.done += ran;
 
-  if (job->cancel_requested.load(std::memory_order_relaxed) ||
-      job->finish_requested.load(std::memory_order_relaxed)) {
-    // RetireJobLocked decides completed-vs-cancelled from the cancel token
-    // alone, so a finish retires as completed.
+  if (job->cancel_requested.load(std::memory_order_relaxed)) {
     ExhaustIdleSlots(state, *job);
   } else if (job->budget_mode) {
     if (slot.done >= slot.share) ExhaustSlot(state, *job, slot);
@@ -622,27 +555,19 @@ RetireAction ReturnSlot(ServingCore::State& state,
   return action;
 }
 
-enum class StopToken { kCancel, kFinish };
-
-// The one stop routine behind Cancel(), Finish() and core teardown: sets
-// `token`, takes the job off the queue, exhausts its idle slots and, when
+// The one stop routine behind Cancel() and core teardown: sets the cancel
+// token, takes the job off the queue, exhausts its idle slots and, when
 // none of its slots is checked out, claims the retirement inline (the pool
 // never even has to wake up). Otherwise the workers holding its slots
 // observe the token within one quantum and the last one to return retires
 // it. A no-op on a job whose retirement is already claimed.
 RetireAction StopJobLocked(ServingCore::State& state,
-                           const std::shared_ptr<ChartJob>& job,
-                           StopToken token) KGOA_REQUIRES(state.mutex) {
+                           const std::shared_ptr<ChartJob>& job)
+    KGOA_REQUIRES(state.mutex) {
   RetireAction action;
   if (job->retire_claimed) return action;
-  if (token == StopToken::kCancel) {
-    if (!job->cancel_requested.exchange(true, std::memory_order_acq_rel)) {
-      job->cancel_time = SteadyClock::now();
-    }
-  } else {
-    // No cancel token: RetireJobLocked classifies by cancel_requested, so
-    // the job counts as completed and keeps its partials as the result.
-    job->finish_requested.store(true, std::memory_order_release);
+  if (!job->cancel_requested.exchange(true, std::memory_order_acq_rel)) {
+    job->cancel_time = SteadyClock::now();
   }
   if (job->in_queue) {
     job->in_queue = false;
@@ -659,13 +584,13 @@ RetireAction StopJobLocked(ServingCore::State& state,
   return action;
 }
 
-void StopJob(const std::shared_ptr<ChartJob>& job, StopToken token) {
+void StopJob(const std::shared_ptr<ChartJob>& job) {
   const std::shared_ptr<ServingCore::State> shared_state = job->core;
   ServingCore::State& state = *shared_state;
   RetireAction action;
   {
     MutexLock lock(state.mutex);
-    action = StopJobLocked(state, job, token);
+    action = StopJobLocked(state, job);
   }
   if (action.finalize) FinalizeJob(*job, action.cancelled);
 }
@@ -702,18 +627,12 @@ ParallelOlaResult ChartHandle::Snapshot() const {
   live.estimates = std::move(merged);
   live.counters = snapshot.counters;
   live.elapsed_seconds = snapshot.elapsed_seconds;
-  live.displayed_converged = snapshot.displayed_converged;
   return live;
 }
 
 void ChartHandle::Cancel() const {
   KGOA_CHECK(job_ != nullptr);
-  StopJob(job_, StopToken::kCancel);
-}
-
-void ChartHandle::Finish() const {
-  KGOA_CHECK(job_ != nullptr);
-  StopJob(job_, StopToken::kFinish);
+  StopJob(job_);
 }
 
 ParallelOlaResult ChartHandle::Await() const {
@@ -762,8 +681,7 @@ ServingCore::~ServingCore() {
       std::shared_ptr<ChartJob> job = state.live.back();
       // Live jobs are unclaimed and nothing is checked out, so the stop
       // always claims the retirement (and drops the job from `live`).
-      const RetireAction action =
-          StopJobLocked(state, job, StopToken::kCancel);
+      const RetireAction action = StopJobLocked(state, job);
       KGOA_CHECK(action.finalize);
       to_finalize.push_back(std::move(job));
     }

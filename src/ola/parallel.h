@@ -29,7 +29,7 @@
 //    pool to other jobs within one quantum, never joining or respawning
 //    threads), a deadline or walk budget, and an optional
 //    snapshot-subscription callback. Handles expose Snapshot() (live
-//    merged partials), Cancel(), Finish() and Await().
+//    merged partials), Cancel() and Await().
 //
 // ServingCore::Submit on a pinned GraphSnapshot is the only way a chart is
 // served in parallel; a one-shot run is `core.Submit(query, job).Await()`.
@@ -56,7 +56,6 @@
 
 #include "src/index/snapshot.h"
 #include "src/ola/estimator.h"
-#include "src/ola/topk.h"
 #include "src/query/chain_query.h"
 
 namespace kgoa {
@@ -74,10 +73,6 @@ struct OlaSnapshot {
   // Merged partial estimates: per-group Estimate() / CiHalfWidth().
   // Owned by the caller of the callback; do not retain past the callback.
   const GroupedEstimates* estimates = nullptr;
-  // Top-K serving (jobs with top_k.k > 0): the displayed chart — the K
-  // largest groups — is settled and converged (src/ola/topk.h). Stays
-  // false when top-K serving is off.
-  bool displayed_converged = false;
   // True for the one snapshot emitted after the job finished.
   bool final_snapshot = false;
 };
@@ -90,9 +85,6 @@ struct ParallelOlaResult {
   GroupedEstimates estimates;
   OlaCounters counters;
   double elapsed_seconds = 0;
-  // Top-K serving: displayed chart settled and converged at the end of
-  // the run (false when top-K serving is off).
-  bool displayed_converged = false;
 };
 
 // ---------------------------------------------------------------------------
@@ -154,17 +146,6 @@ struct ChartJobOptions {
   // Cancel() from inside a snapshot) without keeping the job alive.
   OlaSnapshotCallback on_snapshot;
   double snapshot_period = 0.05;
-
-  // Top-K chart serving (src/ola/topk.h): top_k.k > 0 tracks the K-th
-  // displayed group's lower bound. Deadline-mode jobs also skip walks
-  // whose group can no longer enter the display; budget-mode jobs only
-  // observe — pruning changes which walks complete, and a budgeted
-  // estimate must stay a pure function of (query, seed, budget, workers).
-  TopKOptions top_k;
-  // Deadline mode only: retire the job (as completed, with its partials)
-  // as soon as the displayed chart converged, instead of walking to the
-  // deadline. Requires top_k.k > 0.
-  bool finish_on_displayed_convergence = false;
 };
 
 class ChartJob;  // internal to the serving core
@@ -187,13 +168,6 @@ class ChartHandle {
   // walk quantum; the pool moves on to other jobs without joining or
   // respawning any thread. Idempotent; no-op on finished jobs.
   void Cancel() const;
-
-  // Requests a graceful finish: stop walking within one quantum (same
-  // pool mechanics as Cancel) but retire the job as COMPLETED with the
-  // partials accumulated so far. The natural way to end a deadline-mode
-  // chart whose display has converged — the user got their answer; the
-  // job did not fail. Idempotent; no-op on finished jobs.
-  void Finish() const;
 
   // Blocks until the job is done or cancelled; returns the final merged
   // result (partial up to the cancellation point for cancelled jobs).

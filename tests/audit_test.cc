@@ -3,6 +3,7 @@
 // IV.1 (count) and IV.2 (count-distinct) across walk orders and tipping
 // thresholds.
 #include <cmath>
+#include <string>
 #include <unordered_map>
 #include <unordered_set>
 
@@ -357,19 +358,56 @@ TEST_F(AuditTest, DisabledTippingMatchesWanderBehaviour) {
   EXPECT_GT(audit.full_walks(), 0u);
 }
 
+// Fig. 5's shape at a size where the tip enumeration cap bites: 100
+// Persons with 50 birthPlaces each, over 997 places typed Place, City
+// (even places) and Capital (every fifth). The root tip would visit over
+// 10,000 tuples, past kMaxTipEnumeration, while a tip after step 0 (one
+// Person's 50 places and their types) fits.
+Graph TipAbortGraph() {
+  constexpr int kPersons = 100;
+  constexpr int kPlacesPerPerson = 50;
+  constexpr int kPlaces = 997;
+  GraphBuilder b;
+  const char* type = vocab::kRdfType;
+  for (int i = 0; i < kPlaces; ++i) {
+    const std::string place = "place" + std::to_string(i);
+    b.AddSpelled(place, type, "Place");
+    if (i % 2 == 0) b.AddSpelled(place, type, "City");
+    if (i % 5 == 0) b.AddSpelled(place, type, "Capital");
+  }
+  for (int i = 0; i < kPersons; ++i) {
+    const std::string person = "person" + std::to_string(i);
+    b.AddSpelled(person, type, "Person");
+    for (int j = 0; j < kPlacesPerPerson; ++j) {
+      b.AddSpelled(person, "birthPlace",
+                   "place" + std::to_string((i * kPlacesPerPerson + j) %
+                                            kPlaces));
+    }
+  }
+  return std::move(b).Build();
+}
+
 TEST_F(AuditTest, TipAbortFallsBackToSampling) {
-  const ChainQuery query = Fig5(false);
+  const Graph graph = TipAbortGraph();
+  const IndexSet indexes(graph);
+  auto q = ChainQuery::Create(
+      {MakePattern(V(0), C(graph.rdf_type()),
+                   C(graph.dict().Lookup("Person"))),
+       MakePattern(V(0), C(graph.dict().Lookup("birthPlace")), V(1)),
+       MakePattern(V(1), C(graph.rdf_type()), V(2))},
+      2, 1, /*distinct=*/false);
+  ASSERT_TRUE(q.has_value());
+  const ChainQuery& query = *q;
   AuditJoin::Options options;
   options.tipping_threshold = 1e18;  // always try to tip
-  options.max_tip_enumeration = 1;   // but never allow the enumeration
-  AuditJoin audit(indexes_, query, options);
+  AuditJoin audit(indexes, query, options);
   audit.RunWalks(2000);
   EXPECT_GT(audit.tip_aborts(), 0u);
-  EXPECT_GT(audit.full_walks() + audit.estimates().rejected_walks(), 0u);
+  EXPECT_GT(audit.tipped_walks(), 0u);
   // Estimates remain unbiased under aborts (deterministic decision): check
   // via exhaustive expectation.
-  AuditJoin fresh(indexes_, query, options);
-  const GroupedResult exact = testing::BruteForce(graph_, query);
+  AuditJoin fresh(indexes, query, options);
+  const GroupedResult exact = testing::BruteForce(graph, query);
   std::unordered_map<TermId, double> expectation;
   fresh.EnumerateAllWalks(
       [&](double prob, const AuditJoin::ContributionMap& cm) {
@@ -377,6 +415,7 @@ TEST_F(AuditTest, TipAbortFallsBackToSampling) {
           expectation[group] += prob * contribution;
         }
       });
+  ASSERT_EQ(exact.counts.size(), 3u);
   for (const auto& [group, count] : exact.counts) {
     EXPECT_NEAR(expectation[group], static_cast<double>(count), 1e-6);
   }

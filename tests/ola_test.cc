@@ -1,14 +1,11 @@
-// Tests for src/ola: walk plans, grouped estimators, the top-K tracker,
-// Wander Join.
+// Tests for src/ola: walk plans, grouped estimators, Wander Join.
 #include <algorithm>
 #include <cmath>
-#include <memory>
 
 #include <gtest/gtest.h>
 
 #include "src/join/ctj.h"
 #include "src/ola/estimator.h"
-#include "src/ola/topk.h"
 #include "src/ola/walk_plan.h"
 #include "src/ola/wander.h"
 #include "tests/test_util.h"
@@ -150,51 +147,6 @@ TEST(Estimator, ZeroVarianceHasZeroCi) {
     est.EndWalk(false);
   }
   EXPECT_NEAR(est.CiHalfWidth(2), 0.0, 1e-9);
-}
-
-// Group 1 takes 100 or 102 on every walk, group 2 takes 1 on one walk in
-// eight: with K = 1, group 2's upper bound sits far below group 1's lower
-// bound.
-GroupedEstimates SeparatedChart(uint64_t walks) {
-  GroupedEstimates est;
-  for (uint64_t w = 0; w < walks; ++w) {
-    est.AddContribution(1, w % 2 == 0 ? 100.0 : 102.0);
-    if (w % 8 == 0) est.AddContribution(2, 1.0);
-    est.EndWalk(false);
-  }
-  return est;
-}
-
-// The tracker trusts no interval before kTopKMinWalks merged walks; past
-// it, both modes compute the same bounds and pruned set, but only a
-// pruning tracker (deadline mode) publishes a filter. Budget mode's
-// observe-only tracker must leave the engines' walks untouched.
-TEST(TopKTracker, ObserveOnlyBoundsTheTailButInstallsNoFilter) {
-  const TopKOptions options{.k = 1, .ci_target = 0.05};
-  TopKTracker observe(options, /*prune=*/false);
-  TopKTracker prune(options, /*prune=*/true);
-
-  const GroupedEstimates early = SeparatedChart(kTopKMinWalks - 1);
-  for (TopKTracker* tracker : {&observe, &prune}) {
-    tracker->Update(early);
-    EXPECT_EQ(tracker->kth_lower_bound(), 0.0);
-    EXPECT_EQ(tracker->pruned_groups(), 0u);
-    EXPECT_EQ(tracker->FilterSnapshot(), nullptr);
-    EXPECT_FALSE(tracker->displayed_converged());
-  }
-
-  const GroupedEstimates merged = SeparatedChart(kTopKMinWalks);
-  for (TopKTracker* tracker : {&observe, &prune}) {
-    tracker->Update(merged);
-    EXPECT_GT(tracker->kth_lower_bound(), 90.0);
-    EXPECT_EQ(tracker->pruned_groups(), 1u);
-    EXPECT_TRUE(tracker->displayed_converged());
-  }
-  EXPECT_EQ(observe.FilterSnapshot(), nullptr);
-  const std::shared_ptr<const GroupFilter> filter = prune.FilterSnapshot();
-  ASSERT_NE(filter, nullptr);
-  EXPECT_TRUE(filter->Pruned(2));
-  EXPECT_FALSE(filter->Pruned(1));
 }
 
 class WanderTest : public ::testing::Test {

@@ -1,8 +1,8 @@
 // Tests for the persistent serving core: cancellation latency, multi-job
-// fairness, background-task ordering, session auto-cancel, top-K
-// self-finish under concurrency, and — the load-bearing guarantee —
-// walk-budget bit-identity of a job run solo vs. run alongside competing
-// jobs on pools of 1, 2, and 8 threads.
+// fairness, background-task ordering, session auto-cancel, self-cancelling
+// jobs under concurrency, and — the load-bearing guarantee — walk-budget
+// bit-identity of a job run solo vs. run alongside competing jobs on pools
+// of 1, 2, and 8 threads.
 //
 // Runs under TSan in tier-1 (scripts/tier1.sh): the scheduler state, the
 // per-slot publish handoff, and the callback serialization are all exercised
@@ -10,10 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <thread>
 #include <vector>
 
@@ -280,199 +278,65 @@ TEST_F(ServeTest, SessionAutoCancelsSupersededJobs) {
   EXPECT_GT(explorer.metrics().Counter("serve.jobs_submitted"), 0u);
 }
 
-// Graceful finish: like Cancel, Finish stops a live job within one
-// quantum — but the job retires as COMPLETED with its partials, so
-// serving a chart to a quality target no longer shows up as a
-// cancellation in the job-lifecycle stats.
-TEST_F(ServeTest, FinishStopsJobQuicklyAndRetiresAsCompleted) {
-  ServingCore::Options core_options;
-  core_options.threads = 1;
-  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
-
-  ChartJobOptions options;
-  options.walk_budget = kHugeBudget;
-  options.workers = 4;
-  options.seed = 31;
-  ChartHandle handle = core.Submit(Fig5(true), options);
-  // Let it make some progress so the finish gathers real partials.
-  while (handle.Snapshot().estimates.walks() == 0) {
-  }
-  handle.Finish();
-  const ParallelOlaResult& result = handle.Await();
-  EXPECT_TRUE(handle.finished());
-  EXPECT_EQ(handle.state(), ChartJobState::kDone);
-  EXPECT_GT(result.estimates.walks(), 0u);
-  EXPECT_LT(result.estimates.walks(), kHugeBudget);
-
-  const ServeStats stats = core.stats();
-  EXPECT_EQ(stats.jobs_completed, 1u);
-  EXPECT_EQ(stats.jobs_cancelled, 0u);
-  // Idempotent, also after retirement.
-  handle.Finish();
-  EXPECT_EQ(handle.state(), ChartJobState::kDone);
-}
-
-// Top-K serving in deadline mode: with a heavily skewed group
-// distribution and K = 1, the tracker's K-th lower bound separates the
-// tail groups, walks bound to them are pruned, the displayed chart
-// converges, and (with finish_on_displayed_convergence) the job retires
-// itself as completed long before the deadline.
-Graph SkewedGraph() {
-  GraphBuilder b;
-  for (int i = 0; i < 400; ++i) {
-    b.AddSpelled("s" + std::to_string(i), "p", "big");
-  }
-  for (int t = 0; t < 20; ++t) {
-    for (int j = 0; j < 5; ++j) {
-      b.AddSpelled("t" + std::to_string(t) + "_" + std::to_string(j), "p",
-                   "tiny" + std::to_string(t));
-    }
-  }
-  return std::move(b).Build();
-}
-
-// One pattern, grouped by object: "big" dwarfs every "tiny" group.
-ChainQuery SkewedQuery(const Graph& graph) {
-  auto q = ChainQuery::Create(
-      {MakePattern(Slot::MakeVar(0), Slot::MakeConst(graph.dict().Lookup("p")),
-                   Slot::MakeVar(1))},
-      1, 0, /*distinct=*/false);
-  EXPECT_TRUE(q.has_value());
-  return *q;
-}
-
-TEST(TopKServeTest, DeadlineModePrunesTailAndSelfFinishesOnConvergence) {
-  const Graph graph = SkewedGraph();
-  IndexSet indexes(graph);
-  const ChainQuery query = SkewedQuery(graph);
-
-  ServingCore::Options core_options;
-  core_options.threads = 2;
-  ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
-
-  ChartJobOptions options;
-  options.walk_budget = 0;
-  options.deadline_seconds = 0.3;
-  options.workers = 2;
-  options.seed = 7;
-  options.tipping_threshold = 2.0;  // stochastic mode: real CIs
-  options.top_k.k = 1;
-  options.top_k.ci_target = 0.005;
-
-  // Run the full deadline (no self-finish) so walks keep flowing after
-  // the first top-K refresh activates the filter.
-  ChartHandle handle = core.Submit(query, options);
-  const ParallelOlaResult& result = handle.Await();
-  EXPECT_EQ(handle.state(), ChartJobState::kDone);
-  EXPECT_TRUE(result.displayed_converged);
-  // Walks landing on separated tail groups were pruned...
-  EXPECT_GT(result.counters.pruned_walks, 0u);
-  // ...and the displayed group's estimate is still in the right place
-  // (pruned walks decay only the pruned groups).
-  const TermId big = graph.dict().Lookup("big");
-  EXPECT_NEAR(result.estimates.Estimate(big), 400.0, 80.0);
-  // Every pruned tail group decayed below the K-th lower bound.
-  for (const auto& [group, estimate] : result.estimates.Estimates()) {
-    if (group == big) continue;
-    EXPECT_LT(estimate + result.estimates.CiHalfWidth(group),
-              result.estimates.Estimate(big));
-  }
-
-  // The converged flag survives into post-completion snapshots.
-  EXPECT_TRUE(handle.Snapshot().displayed_converged);
-
-  // Self-finish: the same job with finish_on_displayed_convergence stops
-  // itself far before a long deadline and retires as COMPLETED.
-  options.deadline_seconds = 30.0;
-  options.finish_on_displayed_convergence = true;
-  ChartHandle self = core.Submit(query, options);
-  const ParallelOlaResult& early = self.Await();
-  EXPECT_EQ(self.state(), ChartJobState::kDone);
-  EXPECT_TRUE(early.displayed_converged);
-  EXPECT_LT(early.elapsed_seconds, 5.0);
-  EXPECT_EQ(core.stats().jobs_completed, 2u);
-  EXPECT_EQ(core.stats().jobs_cancelled, 0u);
-}
-
-// Regression: a top-K self-finish requested mid-quantum leaves its job in
-// the run queue as a stale entry, and the scheduler's pick once read past
-// the end of the queue after dropping such entries. Many concurrent
-// self-finishing jobs on a multi-thread pool hit that path every round;
-// the contracts build's container bounds checks turn the read into an
-// abort.
-TEST(TopKServeTest, ConcurrentSelfFinishingJobsAllComplete) {
-  const Graph graph = SkewedGraph();
-  IndexSet indexes(graph);
-  const ChainQuery query = SkewedQuery(graph);
-
+// Concurrent stops: many jobs on a multi-thread pool cancel themselves from
+// their own snapshot callbacks, so every cancel lands while sibling slots
+// are mid-quantum. Each job must retire exactly once, as cancelled, with
+// the walks it ran, and leave nothing live behind.
+TEST_F(ServeTest, ConcurrentSelfCancellingJobsAllRetire) {
   ServingCore::Options core_options;
   core_options.threads = 3;
-  ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
+  ServingCore core(GraphSnapshot::Unowned(indexes_), core_options);
 
-  ChartJobOptions options;
-  options.deadline_seconds = 30.0;
-  options.tipping_threshold = 2.0;
-  options.top_k.k = 1;
-  options.top_k.ci_target = 0.5;  // loose: converges within a few quanta
-  options.finish_on_displayed_convergence = true;
+  constexpr uint64_t kQuantaBeforeCancel = 4;
+  constexpr uint64_t kWalksBeforeCancel =
+      kQuantaBeforeCancel * ServingCore::kQuantumWalks;
+  struct Shared {
+    Mutex mutex;
+    ChartHandle handle KGOA_GUARDED_BY(mutex);
+    std::atomic<bool> armed{false};
+  };
+
   constexpr int kRounds = 20;
   constexpr int kJobsPerRound = 4;
   for (int round = 0; round < kRounds; ++round) {
     std::vector<ChartHandle> handles;
     for (int j = 0; j < kJobsPerRound; ++j) {
+      auto job_shared = std::make_shared<Shared>();
+      ChartJobOptions options;
+      options.walk_budget = kHugeBudget;
       options.seed = static_cast<uint64_t>(round * kJobsPerRound + j);
-      handles.push_back(core.Submit(query, options));
+      options.snapshot_period = 0.0;  // every quantum
+      options.on_snapshot = [job_shared](const OlaSnapshot& snapshot) {
+        if (snapshot.final_snapshot || snapshot.walks < kWalksBeforeCancel ||
+            !job_shared->armed.load(std::memory_order_acquire)) {
+          return;
+        }
+        ChartHandle handle;
+        {
+          MutexLock lock(job_shared->mutex);
+          handle = job_shared->handle;
+        }
+        handle.Cancel();
+      };
+      ChartHandle handle = core.Submit(Fig5(true), options);
+      {
+        MutexLock lock(job_shared->mutex);
+        job_shared->handle = handle;
+      }
+      job_shared->armed.store(true, std::memory_order_release);
+      handles.push_back(std::move(handle));
     }
     for (const ChartHandle& handle : handles) {
       const ParallelOlaResult result = handle.Await();
-      EXPECT_EQ(handle.state(), ChartJobState::kDone);
-      EXPECT_TRUE(result.displayed_converged);
+      EXPECT_EQ(handle.state(), ChartJobState::kCancelled);
+      EXPECT_GE(result.estimates.walks(), kWalksBeforeCancel);
     }
   }
-  EXPECT_EQ(core.stats().jobs_completed,
+  const ServeStats stats = core.stats();
+  EXPECT_EQ(stats.jobs_cancelled,
             static_cast<uint64_t>(kRounds * kJobsPerRound));
-  EXPECT_EQ(core.stats().live_jobs, 0u);
-}
-
-// Budget mode keeps the bit-identity contract: enabling top-K tracking
-// must not change the estimate (pruning is forced off — observe-only),
-// and no walks are ever counted as pruned. The skewed chart separates its
-// tail well within kTopKMinWalks walks, and the first live snapshot past
-// that count holds its worker for two top-K refresh periods, so the
-// tracker refreshes past the threshold with quanta left to run: a budget
-// job wired to prune would prune them.
-TEST_F(ServeTest, BudgetModeTopKIsObserveOnly) {
-  const Graph graph = SkewedGraph();
-  IndexSet indexes(graph);
-  const ChainQuery query = SkewedQuery(graph);
-  ServingCore::Options core_options;
-  core_options.threads = 2;
-  ServingCore core(GraphSnapshot::Unowned(indexes), core_options);
-
-  ChartJobOptions plain;
-  plain.walk_budget = 64 * ServingCore::kQuantumWalks;
-  plain.workers = 4;
-  plain.seed = 17;
-  plain.tipping_threshold = 2.0;
-  ChartJobOptions tracked = plain;
-  tracked.top_k.k = 1;
-  tracked.snapshot_period = 1e-4;
-  std::atomic<bool> held{false};
-  tracked.on_snapshot = [&held](const OlaSnapshot& snapshot) {
-    if (snapshot.final_snapshot || snapshot.walks < kTopKMinWalks ||
-        held.exchange(true)) {
-      return;
-    }
-    std::this_thread::sleep_for(std::chrono::milliseconds(20));
-  };
-
-  const ParallelOlaResult without = core.Submit(query, plain).Await();
-  const ParallelOlaResult with = core.Submit(query, tracked).Await();
-  ASSERT_TRUE(held.load());
-  // The tracker ran past kTopKMinWalks: it saw the display converge.
-  EXPECT_TRUE(with.displayed_converged);
-  testing::ExpectBitIdentical(without.estimates, with.estimates);
-  EXPECT_EQ(with.counters.pruned_walks, 0u);
+  EXPECT_EQ(stats.jobs_completed, 0u);
+  EXPECT_EQ(stats.live_jobs, 0u);
 }
 
 // Destroying a core with live jobs cancels them and wakes Await-ers with

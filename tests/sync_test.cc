@@ -211,7 +211,7 @@ TEST(SyncTest, CallbackRunsOutsideSchedulerLock) {
   auto shared = std::make_shared<Shared>();
 
   ChartJobOptions job;
-  job.walk_budget = 1ull << 40;  // runs until the callback finishes it
+  job.walk_budget = 1ull << 40;  // runs until the callback cancels it
   job.workers = 2;
   job.seed = 3;
   job.snapshot_period = 0.0;  // every quantum
@@ -239,7 +239,7 @@ TEST(SyncTest, CallbackRunsOutsideSchedulerLock) {
         other.SubmitChart(*query, nested).Await();
     EXPECT_EQ(served.estimates.walks(), 512u);
     EXPECT_EQ(other.serve_stats().jobs_completed, 1u);
-    handle.Finish();
+    handle.Cancel();
   };
 
   ChartHandle handle = core.Submit(*query, job);
@@ -251,7 +251,7 @@ TEST(SyncTest, CallbackRunsOutsideSchedulerLock) {
 
   const ParallelOlaResult result = handle.Await();
   EXPECT_TRUE(shared->fired.load(std::memory_order_acquire));
-  EXPECT_EQ(handle.state(), ChartJobState::kDone);  // Finish(), not Cancel()
+  EXPECT_EQ(handle.state(), ChartJobState::kCancelled);
   EXPECT_GT(result.estimates.walks(), 0u);
 }
 
